@@ -8,7 +8,11 @@
 //     batched run_stream path (ProjectionCircuit::project_batch) against
 //     the per-sample scalar loop, on the same jittered clock stream, with
 //     a bitwise checksum proving the two paths agree on every output;
-//  3. the degradation trace: a temperature-derate step injected mid-run,
+//  3. the slack gate — batch-64 samples/sec of project_batch with the
+//     gate on against the same circuit forced to run every multiplier
+//     stream in full (ProjectionCircuit::set_slack_gate), at a clock
+//     below the multipliers' critical path, with a bitwise checksum;
+//  4. the degradation trace: a temperature-derate step injected mid-run,
 //     the sampled safe-frequency checks catching the error-rate breach,
 //     the FrequencyGovernor stepping the clock down to the characterised
 //     floor and re-ramping after recovery.
@@ -282,6 +286,74 @@ SettleKernel run_settle_kernel(bool smoke) {
   return out;
 }
 
+struct SlackGate {
+  std::size_t samples = 0;
+  double gated_samples_per_sec = 0.0;
+  double full_samples_per_sec = 0.0;
+  double gated_vs_full_speedup = 0.0;
+  double gated_share = 0.0;     ///< of the gated run's multiplier streams
+  bool checksum_match = true;   ///< gated outputs bitwise equal to full
+};
+
+// Slack-gate section: the batch-scaling design at its 150 MHz clock, whose
+// period clears every multiplier's structural critical path, served in
+// batches of 64 through two circuits with the same clock seed — one with
+// the gate on, one forced to propagate settle times in full. The gate may
+// only move the speed: every output must agree bit for bit.
+SlackGate run_slack_gate(bool smoke) {
+  const auto design = serve_design(150.0);
+  const Device device = make_device();
+  auto plan = simulated_plan(design, reference_location_1());
+  plan.with_jitter = true;
+  constexpr std::uint64_t kClockSeed = 42;
+  constexpr std::size_t kBatch = 64;
+
+  SlackGate out;
+  out.samples = smoke ? 4096 : 32768;
+  const auto stream = request_stream(out.samples, 0x51AC);
+
+  const auto run = [&](bool gate, std::vector<std::vector<double>>& all) {
+    ProjectionCircuit circuit(design, device, plan, kWlX, nullptr, kClockSeed);
+    circuit.set_slack_gate(gate);
+    std::vector<const std::vector<std::uint32_t>*> inputs;
+    std::vector<std::vector<double>> ys;
+    all.resize(out.samples);
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::size_t s0 = 0; s0 < out.samples; s0 += kBatch) {
+      inputs.clear();
+      for (std::size_t i = 0; i < kBatch; ++i) inputs.push_back(&stream[s0 + i]);
+      circuit.project_batch(inputs, ys);
+      for (std::size_t i = 0; i < kBatch; ++i) all[s0 + i] = ys[i];
+    }
+    const double dt =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    const auto counts = circuit.stream_counts();
+    if (gate)
+      out.gated_share = static_cast<double>(counts.gated) /
+                        static_cast<double>(counts.gated + counts.full);
+    return static_cast<double>(out.samples) / dt;
+  };
+
+  // Alternate the two runs and keep each one's best of three, so a slow
+  // spell of the host does not land on one side only.
+  std::vector<std::vector<double>> gated_ys, full_ys;
+  for (int rep = 0; rep < 3; ++rep) {
+    out.gated_samples_per_sec =
+        std::max(out.gated_samples_per_sec, run(true, gated_ys));
+    out.full_samples_per_sec =
+        std::max(out.full_samples_per_sec, run(false, full_ys));
+  }
+  out.gated_vs_full_speedup =
+      out.gated_samples_per_sec / out.full_samples_per_sec;
+  for (std::size_t s = 0; s < out.samples; ++s)
+    out.checksum_match =
+        out.checksum_match && gated_ys[s].size() == full_ys[s].size() &&
+        std::memcmp(gated_ys[s].data(), full_ys[s].data(),
+                    gated_ys[s].size() * sizeof(double)) == 0;
+  return out;
+}
+
 struct DegradationTrace {
   double f_target_mhz = 0.0, f_floor_mhz = 0.0, hot_derate = 0.0;
   ServeMetrics::Snapshot snap;
@@ -344,7 +416,7 @@ DegradationTrace degradation_trace(bool smoke) {
 void write_json(const char* path, bool smoke,
                 const std::vector<ThroughputPoint>& points,
                 const BatchScaling& scaling, const SettleKernel& kernel,
-                const DegradationTrace& trace) {
+                const SlackGate& gate, const DegradationTrace& trace) {
   std::ofstream os(path);
   os.precision(10);
   os << "{\n  \"bench\": \"serve\",\n"
@@ -387,6 +459,17 @@ void write_json(const char* path, bool smoke,
      << ",\n"
      << "    \"int_vs_double_checksum_match\": "
      << (kernel.checksum_match ? "true" : "false") << "\n"
+     << "  },\n"
+     << "  \"slack_gate\": {\n"
+     << "    \"samples\": " << gate.samples << ",\n"
+     << "    \"batch\": 64,\n"
+     << "    \"gated_samples_per_sec\": " << gate.gated_samples_per_sec << ",\n"
+     << "    \"full_samples_per_sec\": " << gate.full_samples_per_sec << ",\n"
+     << "    \"gated_vs_full_speedup\": " << gate.gated_vs_full_speedup
+     << ",\n"
+     << "    \"gated_share\": " << gate.gated_share << ",\n"
+     << "    \"slack_gate_checksum_match\": "
+     << (gate.checksum_match ? "true" : "false") << "\n"
      << "  },\n"
      << "  \"degradation\": {\n"
      << "    \"f_target_mhz\": " << trace.f_target_mhz << ",\n"
@@ -448,6 +531,14 @@ int main(int argc, char** argv) {
       kernel.int_vs_double_speedup,
       kernel.checksum_match ? "MATCH" : "MISMATCH");
 
+  const auto gate = run_slack_gate(smoke);
+  std::printf(
+      "slack gate: batch 64 gated %8.0f samples/s, full %8.0f samples/s "
+      "(%.2fx), gated share %.2f, checksum %s\n",
+      gate.gated_samples_per_sec, gate.full_samples_per_sec,
+      gate.gated_vs_full_speedup, gate.gated_share,
+      gate.checksum_match ? "MATCH" : "MISMATCH");
+
   const auto trace = degradation_trace(smoke);
   std::printf(
       "degradation: target %.1f MHz, hot derate %.2fx -> floor %.1f MHz; "
@@ -459,7 +550,7 @@ int main(int argc, char** argv) {
       trace.snap.frequency_timeline.size(),
       static_cast<unsigned long long>(trace.snap.latency_overflow));
 
-  write_json("BENCH_serve.json", smoke, points, scaling, kernel, trace);
+  write_json("BENCH_serve.json", smoke, points, scaling, kernel, gate, trace);
   std::printf("-> BENCH_serve.json\n");
   return 0;
 }

@@ -263,17 +263,35 @@ std::vector<CharTrace> CharacterisationCircuit::run_multi(
   // output word plus the (bit, settle) list of outputs that toggled.
   const std::size_t nin = in.size();
   const std::size_t wlm = ccm_ ? 0 : static_cast<std::size_t>(wl_m);
-  ws.input_bits.resize(n * nin);
+  ws.input_bits.resize(n * nin + 8);  // store_bit_bytes' slack
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint32_t x = xs[i];
     OCLP_DCHECK(x < (1u << cfg_.wl_x));
     std::uint8_t* row = ws.input_bits.data() + i * nin;
-    for (std::size_t b = 0; b < wlm; ++b)
-      row[b] = static_cast<std::uint8_t>((m >> b) & 1u);
-    for (std::size_t b = wlm; b < nin; ++b)
-      row[b] = static_cast<std::uint8_t>((x >> (b - wlm)) & 1u);
+    store_bit_bytes(row, m, static_cast<int>(wlm));
+    store_bit_bytes(row + wlm, x, cfg_.wl_x);
   }
-  sim.run_stream(ws.sim, ws.input_bits.data(), n, ws.stream);
+  // Jitter is drawn up front, in sample order (the same sequence the
+  // capture loop below consumed when it drew inline), so the stream knows
+  // its shortest capture period before it runs: fl(p_min + j_min) bounds
+  // every fl(p_f + j_i), as rounding is monotone. At or above the DUT's
+  // critical path the slack gate skips settle propagation altogether.
+  ws.jitter.resize(n);
+  double j_min = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < n; ++i) {
+    double j = 0.0;
+    if (sigma > 0.0) {
+      j = jitter_rng.normal(0.0, sigma);
+      const double lim = 4.0 * sigma;  // ClockGen's ±4σ clamp
+      if (j > lim) j = lim;
+      if (j < -lim) j = -lim;
+    }
+    ws.jitter[i] = j;
+    j_min = std::min(j_min, j);
+  }
+  const double p_min = *std::min_element(periods.begin(), periods.end());
+  sim.run_stream(ws.sim, ws.input_bits.data(), n, ws.stream,
+                 PsGrid::period_ticks(p_min + j_min));
 
   // Sampling a frequency is then obs = settled word with the too-late
   // toggled bits flipped back — bitwise identical to thresholding every
@@ -288,14 +306,7 @@ std::vector<CharTrace> CharacterisationCircuit::run_multi(
   const double* tsettle = ws.stream.toggle_settle.data();
   const std::uint32_t* tsettle_ticks = ws.stream.toggle_settle_ticks.data();
   for (std::size_t i = 0; i < n; ++i) {
-    double j = 0.0;
-    if (sigma > 0.0) {
-      j = jitter_rng.normal(0.0, sigma);
-      const double lim = 4.0 * sigma;  // ClockGen's ±4σ clamp
-      if (j > lim) j = lim;
-      if (j < -lim) j = -lim;
-    }
-
+    const double j = ws.jitter[i];
     const std::uint64_t exp =
         static_cast<std::uint64_t>(m) * static_cast<std::uint64_t>(xs[i]);
     const std::uint64_t settled = ws.stream.settled[i];

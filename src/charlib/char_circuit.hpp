@@ -64,6 +64,7 @@ class CharacterisationCircuit {
     OverclockSim::State sim;
     OverclockSim::SweepStream stream;
     std::vector<std::uint8_t> input_bits;  ///< row-major samples x inputs
+    std::vector<double> jitter;            ///< per-sample PLL jitter (ns)
   };
 
   CharacterisationCircuit(const CharCircuitConfig& cfg, const Device& device,

@@ -196,22 +196,51 @@ std::vector<double> ProjectionCircuit::project(const std::vector<std::uint32_t>&
   return y;
 }
 
+void ProjectionCircuit::last_settled_projection(std::vector<double>& y) {
+  const std::size_t p = dims_p();
+  y.assign(dims_k(), 0.0);
+  for (std::size_t kk = 0; kk < dims_k(); ++kk) {
+    const DesignColumn& col = design_.columns[kk];
+    const double inv_scale = std::ldexp(1.0, -(col.wordlength() + wl_x_));
+    for (std::size_t pp = 0; pp < p; ++pp) {
+      sims_[kk * p + pp]->last_settled_outputs(settled_bits_);
+      const double product = static_cast<double>(from_bits(settled_bits_));
+      y[kk] += col.coeffs[pp].sign * product * inv_scale;
+    }
+  }
+}
+
 void ProjectionCircuit::project_batch(
     const std::vector<const std::vector<std::uint32_t>*>& batch,
-    std::vector<std::vector<double>>& ys) {
+    std::vector<std::vector<double>>& ys,
+    const std::vector<std::size_t>* ref_rows,
+    std::vector<std::vector<double>>* refs) {
   const std::size_t p = dims_p();
   const std::size_t k = dims_k();
   const std::size_t n = batch.size();
   for (std::size_t s = 0; s < n; ++s)
     OCLP_CHECK(batch[s] != nullptr && batch[s]->size() == p);
+  const std::size_t nr = ref_rows != nullptr ? ref_rows->size() : 0;
+  OCLP_CHECK_MSG(ref_rows == nullptr || refs != nullptr,
+                 "project_batch: reference rows requested without an output");
+  for (std::size_t j = 0; j < nr; ++j)
+    OCLP_CHECK_MSG((*ref_rows)[j] < n, "project_batch: reference row "
+                                           << (*ref_rows)[j] << " of a batch of "
+                                           << n);
   ys.resize(n);
+  if (refs != nullptr) refs->resize(nr);
   if (n == 0) return;
   if (n == 1) {
     // A single sample can't amortise the stream machinery (64-lane row
     // fills, toggle snapshot, chunk fan-out) and the batch path loses to
     // the scalar one. project() consumes the same single jittered period
-    // this path would draw, so delegating is bitwise identical.
+    // this path would draw, so delegating is bitwise identical; its final
+    // settled outputs are the reference.
     project(*batch[0], ys[0]);
+    if (nr != 0) {
+      last_settled_projection((*refs)[0]);
+      for (std::size_t j = 1; j < nr; ++j) (*refs)[j] = (*refs)[0];
+    }
     return;
   }
 
@@ -224,14 +253,20 @@ void ProjectionCircuit::project_batch(
   // so tick capture matches the double rule bitwise.
   periods_.resize(n);
   periods_ticks_.resize(n);
+  std::uint64_t min_ticks = ~std::uint64_t{0};
   for (std::size_t s = 0; s < n; ++s) {
     periods_[s] = clock_.next_period_ns();
     periods_ticks_[s] = PsGrid::period_ticks(periods_[s]);
+    min_ticks = std::min(min_ticks, periods_ticks_[s]);
   }
+  // The slack gate's bound: no sample of this batch is captured sooner.
+  const std::uint64_t gate_ticks = slack_gate_ ? min_ticks : 0;
 
   const std::size_t kp = k * p;
   const bool need_reset = first_sample_;
   contrib_.resize(kp * n);
+  ref_contrib_.resize(kp * nr);
+  stream_gated_.resize(kp);
 
   // Distribute the K·P independent multiplier streams per the policy.
   // Each chunk owns a reusable workspace; each multiplier's register
@@ -245,7 +280,10 @@ void ProjectionCircuit::project_batch(
       const std::size_t kk = m / p, pp = m % p;
       const DesignColumn& col = design_.columns[kk];
       const bool ccm = column_is_ccm(col);
-      const double scale = std::ldexp(1.0, col.wordlength() + wl_x_);
+      // 1/2^(wl + wl_x) is exact, so the multiply matches project()'s
+      // division bit for bit.
+      const double inv_scale = std::ldexp(1.0, -(col.wordlength() + wl_x_));
+      const int sign = col.coeffs[pp].sign;
       OverclockSim& sim = *sims_[m];
       // CCM netlists expose only the x port (the constant is baked in).
       const std::size_t cb =
@@ -260,52 +298,74 @@ void ProjectionCircuit::project_batch(
       }
 
       // Row-major input-bit matrix: the fixed multiplicand bits (generic
-      // path only) plus one streamed operand per sample.
-      ws.inputs.resize(n * nin);
+      // path only) plus one streamed operand per sample, with the 8 bytes
+      // of slack store_bit_bytes needs past the last row.
+      ws.inputs.resize(n * nin + 8);
       const std::uint32_t mag = col.coeffs[pp].magnitude;
       for (std::size_t s = 0; s < n; ++s) {
         std::uint8_t* row = ws.inputs.data() + s * nin;
-        for (std::size_t b = 0; b < cb; ++b)
-          row[b] = static_cast<std::uint8_t>((mag >> b) & 1u);
-        const std::uint32_t x = (*batch[s])[pp];
-        for (std::size_t b = cb; b < nin; ++b)
-          row[b] = static_cast<std::uint8_t>((x >> (b - cb)) & 1u);
+        store_bit_bytes(row, mag, static_cast<int>(cb));
+        store_bit_bytes(row + cb, (*batch[s])[pp], wl_x_);
       }
-      sim.run_stream(ws.inputs.data(), n, ws.stream);
+      sim.run_stream(ws.inputs.data(), n, ws.stream, gate_ticks);
+      stream_gated_[m] = ws.stream.gated;
 
       // Per-sample signed, scaled product — the exact expression project()
-      // accumulates, evaluated per multiplier into an SoA slab. Integer
-      // capture when the sim lowered integer (IntegerExact above, so
-      // always in practice): unsigned tick compares against the
-      // pre-converted thresholds.
+      // accumulates, evaluated per multiplier into an SoA slab. A gated
+      // stream captures its settled words; otherwise integer capture when
+      // the sim lowered integer (IntegerExact above, so always in
+      // practice): unsigned tick compares against the pre-converted
+      // thresholds.
+      const std::uint64_t* settled = ws.stream.settled.data();
       double* c = contrib_.data() + m * n;
-      if (sim.integer_kernel()) {
+      if (ws.stream.gated) {
+        for (std::size_t s = 0; s < n; ++s)
+          c[s] = sign * static_cast<double>(settled[s]) * inv_scale;
+      } else if (sim.integer_kernel()) {
         for (std::size_t s = 0; s < n; ++s) {
           const double product = static_cast<double>(
               ws.stream.capture_word_ticks(s, periods_ticks_[s]));
-          c[s] = col.coeffs[pp].sign * product / scale;
+          c[s] = sign * product * inv_scale;
         }
       } else {
         for (std::size_t s = 0; s < n; ++s) {
           const double product =
               static_cast<double>(ws.stream.capture_word(s, periods_[s]));
-          c[s] = col.coeffs[pp].sign * product / scale;
+          c[s] = sign * product * inv_scale;
         }
       }
+      // Fused references: the same pass's settled words, uncorrected.
+      double* rc = ref_contrib_.data() + m * nr;
+      for (std::size_t j = 0; j < nr; ++j)
+        rc[j] = sign * static_cast<double>(settled[(*ref_rows)[j]]) * inv_scale;
     }
   });
   first_sample_ = false;
+  for (std::size_t m = 0; m < kp; ++m)
+    ++(stream_gated_[m] ? streams_.gated : streams_.full);
 
   // Serial reduction in project()'s accumulation order (pp ascending per
   // output dimension, correction last): floating-point addition order is
   // what makes the batch bitwise-identical to the sequential loop.
   for (std::size_t s = 0; s < n; ++s) {
-    ys[s].assign(k, 0.0);
+    ys[s].resize(k);
     for (std::size_t kk = 0; kk < k; ++kk) {
       double acc = 0.0;
       for (std::size_t pp = 0; pp < p; ++pp)
         acc += contrib_[(kk * p + pp) * n + s];
       ys[s][kk] = acc - mean_correction_[kk];
+    }
+  }
+  // The references in project_settled()'s order: pp ascending from 0.0,
+  // no correction.
+  for (std::size_t j = 0; j < nr; ++j) {
+    std::vector<double>& r = (*refs)[j];
+    r.resize(k);
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      double acc = 0.0;
+      for (std::size_t pp = 0; pp < p; ++pp)
+        acc += ref_contrib_[(kk * p + pp) * nr + j];
+      r[kk] = acc;
     }
   }
 }

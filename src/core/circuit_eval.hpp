@@ -80,9 +80,37 @@ class ProjectionCircuit {
   /// a stable-address arena; no steady-state allocation beyond `ys`.
   /// Single-sample batches delegate to the scalar project() path, which
   /// beats the stream machinery at n = 1 and draws the identical period.
-  /// `ys` is resized to batch.size() rows of K entries.
+  /// `ys` is resized to batch.size() rows of K entries; rows keep their
+  /// capacity across calls.
+  ///
+  /// Slack gate: each multiplier stream is handed the batch's shortest
+  /// jittered period, so a multiplier whose structural critical path fits
+  /// it skips settle propagation entirely (OverclockSim::run_stream) —
+  /// same bits, counted in stream_counts().
+  ///
+  /// Fused references: when `ref_rows` is given, `refs` (required) is
+  /// resized to ref_rows->size() rows of K, and row j is the settled
+  /// projection of batch[(*ref_rows)[j]] — bitwise what project_settled()
+  /// returns for that request — taken from the settled words of the same
+  /// stream pass instead of a second evaluation.
   void project_batch(const std::vector<const std::vector<std::uint32_t>*>& batch,
-                     std::vector<std::vector<double>>& ys);
+                     std::vector<std::vector<double>>& ys,
+                     const std::vector<std::size_t>* ref_rows = nullptr,
+                     std::vector<std::vector<double>>* refs = nullptr);
+
+  /// Multiplier streams project_batch ran slack-gated vs in full, since
+  /// construction. Single-sample batches take the scalar path and count
+  /// in neither.
+  struct StreamCounts {
+    std::uint64_t gated = 0;
+    std::uint64_t full = 0;
+  };
+  StreamCounts stream_counts() const { return streams_; }
+
+  /// Test and bench hook: with the gate off, project_batch runs every
+  /// multiplier stream in full. Results are identical either way; only
+  /// the speed (and stream_counts()) moves.
+  void set_slack_gate(bool enabled) { slack_gate_ = enabled; }
 
   /// Replace the policy project_batch distributes multiplier streams
   /// with. Any policy/chunking produces bitwise-identical projections
@@ -137,6 +165,10 @@ class ProjectionCircuit {
     std::vector<std::uint8_t> inputs;  ///< n × num_inputs row-major bits
   };
 
+  /// Settled projection of the sample the last project() clocked, read off
+  /// every multiplier's final settled outputs (the n == 1 fused reference).
+  void last_settled_projection(std::vector<double>& y);
+
   /// The architecture is per-column: a CCM column's sims bake the
   /// coefficient into the netlist (only the x port remains an input, and a
   /// coefficient change requires a full re-lower), while its neighbour
@@ -162,6 +194,11 @@ class ProjectionCircuit {
   std::vector<double> periods_;             ///< per-sample jittered periods
   std::vector<std::uint64_t> periods_ticks_;  ///< the same, as PsGrid ticks
   std::vector<double> contrib_;             ///< K·P × n per-multiplier terms
+  std::vector<double> ref_contrib_;         ///< K·P × refs settled terms
+  std::vector<std::uint8_t> stream_gated_;  ///< per multiplier, last batch
+  std::vector<std::uint8_t> settled_bits_;  ///< last_settled_projection scratch
+  StreamCounts streams_;
+  bool slack_gate_ = true;
   ChunkArena<BatchWorkspace> batch_ws_;     ///< one stable slot per chunk
   /// Stream-distribution policy. One chunk per worker mirrors the shard
   /// count the hand-rolled fan-out used (multiplier streams are uniform,

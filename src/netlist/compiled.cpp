@@ -31,6 +31,26 @@ std::uint64_t PsGrid::period_ticks(double period_ns) {
 
 namespace {
 
+// eval64's form of every 3-input truth table: its algebraic normal form,
+// one all-ones/all-zeros mask per monomial (a Möbius transform over the
+// three index bits; monomial bit s selects the fanins set in s). One
+// shared table — a netlist only touches the rows of the few cell
+// functions it uses.
+struct AnfTable {
+  std::uint64_t mask[256][8];
+  constexpr AnfTable() : mask{} {
+    for (unsigned tt = 0; tt < 256; ++tt) {
+      unsigned f = tt;
+      f ^= (f & 0x55u) << 1;
+      f ^= (f & 0x33u) << 2;
+      f ^= (f & 0x0Fu) << 4;
+      for (unsigned m = 0; m < 8; ++m)
+        mask[tt][m] = std::uint64_t{0} - ((f >> m) & 1u);
+    }
+  }
+};
+constexpr AnfTable kAnf{};
+
 // Slot references during lowering, before compiled ids exist: original net
 // ids, or a sentinel marker for baked/unused (kSlot0) and constant-one
 // (kSlot1) fanins.
@@ -345,19 +365,14 @@ void CompiledNetlist::eval64(std::vector<std::uint64_t>& words) const {
   for (std::size_t ci = 0; ci < tt_.size(); ++ci) {
     const std::int32_t* f = &fanin_[3 * ci];
     const std::uint64_t a = words[f[0]], b = words[f[1]], cc = words[f[2]];
-    const std::uint64_t na = ~a, nb = ~b, nc = ~cc;
-    const std::uint64_t tt = tt_[ci];
-    // OR of the truth table's minterms, each gated branch-free by its bit.
-    std::uint64_t r = 0;
-    r |= (std::uint64_t{0} - ((tt >> 0) & 1)) & (na & nb & nc);
-    r |= (std::uint64_t{0} - ((tt >> 1) & 1)) & (a & nb & nc);
-    r |= (std::uint64_t{0} - ((tt >> 2) & 1)) & (na & b & nc);
-    r |= (std::uint64_t{0} - ((tt >> 3) & 1)) & (a & b & nc);
-    r |= (std::uint64_t{0} - ((tt >> 4) & 1)) & (na & nb & cc);
-    r |= (std::uint64_t{0} - ((tt >> 5) & 1)) & (a & nb & cc);
-    r |= (std::uint64_t{0} - ((tt >> 6) & 1)) & (na & b & cc);
-    r |= (std::uint64_t{0} - ((tt >> 7) & 1)) & (a & b & cc);
-    words[base + ci] = r;
+    // XOR of the truth table's ANF monomials, each gated branch-free by
+    // its precomputed mask: an exact GF(2) identity, so every lane equals
+    // the minterm (truth-table) evaluation bit for bit.
+    const std::uint64_t* m = kAnf.mask[tt_[ci]];
+    const std::uint64_t ab = a & b;
+    words[base + ci] = m[0] ^ (m[1] & a) ^ (m[2] & b) ^ (m[3] & ab) ^
+                       (m[4] & cc) ^ (m[5] & a & cc) ^ (m[6] & b & cc) ^
+                       (m[7] & ab & cc);
   }
 }
 

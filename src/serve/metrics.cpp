@@ -83,6 +83,8 @@ ServeMetrics::Snapshot ServeMetrics::snapshot(const ThreadPool* pool) const {
   s.shadow_mismatch = shadow_mismatch_.load(std::memory_order_relaxed);
   s.queue_depth = queue_depth_.load(std::memory_order_relaxed);
   s.queue_peak = queue_peak_.load(std::memory_order_relaxed);
+  s.streams_gated = streams_gated_.load(std::memory_order_relaxed);
+  s.streams_full = streams_full_.load(std::memory_order_relaxed);
   if (pool != nullptr) {
     s.pool_queue_depth = pool->queue_depth();
     s.pool_inflight = pool->inflight();
@@ -136,7 +138,10 @@ std::string ServeMetrics::Snapshot::to_json() const {
      << "  \"queue_depth\": " << queue_depth << ",\n"
      << "  \"queue_peak\": " << queue_peak << ",\n"
      << "  \"pool_queue_depth\": " << pool_queue_depth << ",\n"
-     << "  \"pool_inflight\": " << pool_inflight << ",\n";
+     << "  \"pool_inflight\": " << pool_inflight << ",\n"
+     << "  \"streams_gated\": " << streams_gated << ",\n"
+     << "  \"streams_full\": " << streams_full << ",\n"
+     << "  \"gated_share\": " << gated_share() << ",\n";
   json_array(os, "window_error_rates", window_error_rates);
   os << ",\n  \"frequency_timeline\": [";
   for (std::size_t i = 0; i < frequency_timeline.size(); ++i)

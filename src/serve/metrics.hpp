@@ -40,6 +40,13 @@ class ServeMetrics {
 
   void queue_depth_sample(std::size_t depth);
 
+  /// Multiplier streams one batch ran slack-gated vs in full (see
+  /// ProjectionCircuit::stream_counts).
+  void on_streams(std::uint64_t gated, std::uint64_t full) {
+    streams_gated_.fetch_add(gated, std::memory_order_relaxed);
+    streams_full_.fetch_add(full, std::memory_order_relaxed);
+  }
+
   // --- design hot-swap (lock-free; see serve/swap.hpp) ---------------------
   /// One mirrored request compared on the shadow datapath.
   void on_shadow_compare(bool mismatch);
@@ -79,6 +86,16 @@ class ServeMetrics {
     std::size_t queue_depth = 0, queue_peak = 0;
     std::size_t pool_queue_depth = 0, pool_inflight = 0;
     double mean_batch_size = 0.0;
+    /// Multiplier streams run slack-gated / in full (scalar batch-1
+    /// projections count in neither).
+    std::uint64_t streams_gated = 0, streams_full = 0;
+    /// streams_gated over all streams; 0 before the first stream.
+    double gated_share() const {
+      const std::uint64_t all = streams_gated + streams_full;
+      return all == 0 ? 0.0
+                      : static_cast<double>(streams_gated) /
+                            static_cast<double>(all);
+    }
     std::vector<double> window_error_rates;   ///< per closed governor window
     std::vector<FreqEvent> frequency_timeline;
     // Latency histogram: parallel bin edges (lo of each bin) and counts.
@@ -102,6 +119,7 @@ class ServeMetrics {
       swaps_aborted_{0}, swap_latency_ns_{0}, shadow_compared_{0},
       shadow_mismatch_{0};
   std::atomic<std::size_t> queue_depth_{0}, queue_peak_{0};
+  std::atomic<std::uint64_t> streams_gated_{0}, streams_full_{0};
 
   mutable std::mutex mutex_;  // guards the histogram and traces below
   Histogram latency_ms_;

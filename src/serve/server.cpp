@@ -347,21 +347,14 @@ void ProjectionServer::process_batch(std::vector<Pending>&& batch) {
     rep->live.push_back(i);
   }
 
-  // Precompute the safe-duplicate references for every sampled survivor in
-  // one batched settled (eval64) pass: the reference is the functional
-  // value of the datapath, so it depends only on the request — never on
-  // the governor or derate state — and hoisting it cannot perturb the
-  // per-request governor trajectory below.
-  rep->check_inputs.clear();
-  rep->ref_of.assign(batch.size(), -1);
-  for (std::size_t i : rep->live) {
-    if (sampled_for_check(batch[i].req.id)) {
-      rep->ref_of[i] = static_cast<std::ptrdiff_t>(rep->check_inputs.size());
-      rep->check_inputs.push_back(&batch[i].req.x_codes);
-    }
-  }
-  if (!rep->check_inputs.empty())
-    rep->serve.project_settled(rep->check_inputs, rep->check_refs);
+  // Sampled survivors get the safe-duplicate check. Its reference is the
+  // settled functional value of the datapath, which project_batch returns
+  // for the checked rows from the same stream pass that serves them: it
+  // depends only on the request — never on the governor or derate state —
+  // so computing it there cannot perturb the governor trajectory below.
+  rep->checked.assign(batch.size(), 0);
+  for (std::size_t i : rep->live)
+    rep->checked[i] = sampled_for_check(batch[i].req.id);
 
   // Serve the survivors through the batched run_stream kernel. The clock
   // can only move on the check verdict that closes a governor window, so
@@ -384,7 +377,7 @@ void ProjectionServer::process_batch(std::vector<Pending>&& batch) {
     // closes the currently open window.
     std::size_t seg_end = seg_begin;
     while (seg_end < rep->live.size()) {
-      const bool checked = rep->ref_of[rep->live[seg_end]] >= 0;
+      const bool checked = rep->checked[rep->live[seg_end]] != 0;
       ++seg_end;
       if (checked && ++into == window) {
         into = 0;
@@ -401,21 +394,35 @@ void ProjectionServer::process_batch(std::vector<Pending>&& batch) {
     }
 
     rep->batch_inputs.clear();
-    for (std::size_t j = seg_begin; j < seg_end; ++j)
-      rep->batch_inputs.push_back(&batch[rep->live[j]].req.x_codes);
-    rep->serve.project_batch(rep->batch_inputs, rep->batch_ys);
+    rep->ref_rows.clear();
+    for (std::size_t j = seg_begin; j < seg_end; ++j) {
+      const std::size_t bi = rep->live[j];
+      if (rep->checked[bi]) rep->ref_rows.push_back(j - seg_begin);
+      rep->batch_inputs.push_back(&batch[bi].req.x_codes);
+    }
+    const auto streams_before = rep->serve.stream_counts();
+    rep->serve.project_batch(rep->batch_inputs, rep->batch_ys, &rep->ref_rows,
+                             &rep->check_refs);
+    const auto streams_after = rep->serve.stream_counts();
+    metrics_.on_streams(streams_after.gated - streams_before.gated,
+                        streams_after.full - streams_before.full);
 
+    std::size_t next_ref = 0;
     for (std::size_t j = seg_begin; j < seg_end; ++j) {
       const std::size_t bi = rep->live[j];
       auto& pending = batch[bi];
-      ServeResult res;
+      // The output rows stay in batch_ys (the next batch reuses their
+      // storage); the callback sees a copy in the replica's result buffer.
+      ServeResult& res = rep->result;
+      const std::vector<double>& y = rep->batch_ys[j - seg_begin];
       res.id = pending.req.id;
       res.freq_mhz = freq;
-      res.y = std::move(rep->batch_ys[j - seg_begin]);
+      res.y.assign(y.begin(), y.end());
+      res.checked = false;
+      res.check_error = false;
 
-      if (rep->ref_of[bi] >= 0) {
-        const auto& ref =
-            rep->check_refs[static_cast<std::size_t>(rep->ref_of[bi])];
+      if (rep->checked[bi]) {
+        const auto& ref = rep->check_refs[next_ref++];
         bool error = false;
         for (std::size_t i = 0; i < ref.size(); ++i)
           if (std::abs(res.y[i] - ref[i]) > cfg_.check_tolerance) {

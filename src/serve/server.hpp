@@ -31,9 +31,9 @@
 //    slack the over-clocked one gave up; see timing/razor.hpp for the
 //    register-level analogue). Below the governor floor every output
 //    settles within the period, so the duplicate's capture IS the settled
-//    functional value — computed here in one batched eval64 pass over the
-//    replica's compiled netlists (ProjectionCircuit::project_settled)
-//    instead of a second simulated datapath. Mismatches beyond
+//    functional value — the settled words of the very stream pass that
+//    served the request (ProjectionCircuit::project_batch's fused
+//    references) instead of a second simulated datapath. Mismatches beyond
 //    `check_tolerance` are timing errors and feed the FrequencyGovernor,
 //    which trades clock rate against the error SLO (see governor.hpp).
 //  * Environment drift is injected with set_timing_derate() — circuits
@@ -193,8 +193,8 @@ class ProjectionServer {
   /// One deployed copy of the datapath plus the clock settings it
   /// currently runs at (so retargets only happen when the governor or
   /// derate moved). The safe-clock duplicate check needs no second
-  /// circuit: its reference is the settled functional value, evaluated on
-  /// this same replica's compiled netlists (project_settled).
+  /// circuit: its reference is the settled functional value, read off the
+  /// serving pass itself (project_batch's fused references).
   struct Replica {
     explicit Replica(ProjectionCircuit s) : serve(std::move(s)) {}
     ProjectionCircuit serve;
@@ -209,14 +209,16 @@ class ProjectionServer {
     // its next batch boundary (see flip_if_stale_locked).
     std::uint64_t design_generation = 0;
     // process_batch scratch, reused across batches (no steady-state
-    // allocation): sampled requests, their references, request→ref index,
-    // surviving (non-shed) batch indices, per-segment kernel batch.
-    std::vector<const std::vector<std::uint32_t>*> check_inputs;
-    std::vector<std::vector<double>> check_refs;
-    std::vector<std::ptrdiff_t> ref_of;
+    // allocation): per-request check flag, surviving (non-shed) batch
+    // indices, per-segment kernel batch, its checked rows and their
+    // references, the outputs, and the result handed to the callback.
+    std::vector<std::uint8_t> checked;
     std::vector<std::size_t> live;
     std::vector<const std::vector<std::uint32_t>*> batch_inputs;
+    std::vector<std::size_t> ref_rows;
+    std::vector<std::vector<double>> check_refs;
     std::vector<std::vector<double>> batch_ys;
+    ServeResult result;
   };
 
   void dispatcher_loop();

@@ -134,6 +134,7 @@ class ShadowTap {
   std::atomic<std::uint64_t> mismatches_{0};
   // observe() scratch, reused under the lock.
   std::vector<const std::vector<std::uint32_t>*> mirrored_;
+  std::vector<std::size_t> all_rows_;
   std::vector<std::vector<double>> timed_, settled_;
 };
 

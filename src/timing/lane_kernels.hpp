@@ -21,8 +21,20 @@
 // Two variants per ISA: the single-track fill of register-free cones, and
 // the two-track (local + carried) fill of pipelined cones, whose register
 // flag is per-cell and therefore hoists out of the lane loop entirely.
+//
+// The two bit transposes at the edges of a stream chunk live here too:
+// packing row-major input bytes into lane words, and unpacking the output
+// lane words into per-sample settled words. Both work on 8×8 bit blocks.
+// The portable versions hold a block in one uint64 (a byte-matrix
+// transpose across eight words, then a bit-matrix transpose within each
+// word), so a 64-sample chunk costs a few hundred word operations instead
+// of one shift/mask per (lane, bit). Where the CPU has AVX-512 VBMI and
+// GFNI, the AVX-512 table entry transposes eight blocks per instruction
+// instead: vpermb for the byte matrix, one GF(2) affine transform
+// (vgf2p8affineqb) for eight bit matrices.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 namespace oclp::lane {
@@ -45,14 +57,30 @@ using DenseFill2Fn = void (*)(std::uint32_t* row, std::uint32_t* crow,
                               std::uint64_t t0, std::uint64_t t1,
                               std::uint64_t t2, std::uint32_t d, bool is_reg);
 
+/// Input packing: `cn` (<= 64) row-major rows of `ni` bytes become ni lane
+/// words — bit l of words[i] is bit 0 of rows[l·ni + i]; lanes >= cn are
+/// zero. Reads only rows[0, cn·ni).
+using PackFn = void (*)(const std::uint8_t* rows, std::size_t ni,
+                        std::size_t cn, std::uint64_t* words);
+
+/// Output extraction: the transpose of `no` (<= 64) lane words into `cn`
+/// (<= 64) per-sample words — bit k of samples[l] is bit l of
+/// lane_words[k]. Writes exactly samples[0, cn).
+using UnpackFn = void (*)(const std::uint64_t* lane_words, std::size_t no,
+                          std::size_t cn, std::uint64_t* samples);
+
 /// The fills the running device resolved to, plus the sparsity-adaptive
 /// crossover: a cell's toggle-word popcount at or above `dense_cutoff`
-/// selects the dense fill, below it the sparse per-lane walk.
+/// selects the dense fill, below it the sparse per-lane walk. `pack` and
+/// `unpack` are the chunk-edge transposes (portable unless the CPU runs
+/// the GFNI clones).
 struct DenseKernels {
   DenseFillFn fill;
   DenseFill2Fn fill2;
   int dense_cutoff;
   const char* isa;  ///< "avx512f", "avx2", or "scalar" (for logging/tests)
+  PackFn pack;
+  UnpackFn unpack;
 };
 
 /// The per-device kernel selection, probed once and cached (thread-safe).

@@ -183,27 +183,35 @@ void OverclockSim::advance_regs(State& st) const {
 }
 
 void OverclockSim::run_stream(State& st, const std::uint8_t* inputs,
-                              std::size_t n, SweepStream& out) const {
+                              std::size_t n, SweepStream& out,
+                              std::uint64_t min_period_ticks) const {
   const bool regs = cnl_.has_registers();
-  if (integer_kernel())
-    regs ? run_stream_impl<true, true>(st, inputs, n, out)
-         : run_stream_impl<true, false>(st, inputs, n, out);
-  else
-    regs ? run_stream_impl<false, true>(st, inputs, n, out)
-         : run_stream_impl<false, false>(st, inputs, n, out);
+  if (integer_kernel()) {
+    // The slack gate (see the header): settle <= structural arrival on
+    // both tracks, so a period at or above the critical path captures
+    // every bit fresh. 0 is "period unknown", never a gate.
+    const bool gated =
+        min_period_ticks != 0 && min_period_ticks >= critical_path_ticks_;
+    regs ? run_stream_impl<true, true>(st, inputs, n, out, gated)
+         : run_stream_impl<true, false>(st, inputs, n, out, gated);
+  } else {
+    regs ? run_stream_impl<false, true>(st, inputs, n, out, false)
+         : run_stream_impl<false, false>(st, inputs, n, out, false);
+  }
 }
 
 void OverclockSim::run_stream_ref(State& st, const std::uint8_t* inputs,
                                   std::size_t n, SweepStream& out) const {
   if (cnl_.has_registers())
-    run_stream_impl<false, true>(st, inputs, n, out);
+    run_stream_impl<false, true>(st, inputs, n, out, false);
   else
-    run_stream_impl<false, false>(st, inputs, n, out);
+    run_stream_impl<false, false>(st, inputs, n, out, false);
 }
 
 template <bool kIntKernel, bool kRegs>
 void OverclockSim::run_stream_impl(State& st, const std::uint8_t* inputs,
-                                   std::size_t n, SweepStream& out) const {
+                                   std::size_t n, SweepStream& out,
+                                   bool gated) const {
   OCLP_CHECK_MSG(st.initialised, "OverclockSim::run_stream before reset");
   const std::size_t no = cnl_.num_outputs();
   OCLP_CHECK_MSG(no <= 64, "run_stream packs outputs into a 64-bit word; this "
@@ -219,8 +227,11 @@ void OverclockSim::run_stream_impl(State& st, const std::uint8_t* inputs,
   out.toggle_settle.clear();
   out.toggle_settle_ticks.clear();
   out.has_ticks = kIntKernel;
+  out.gated = gated;
   out.toggle_begin[0] = 0;
   if (n == 0) return;
+  // A gated stream records no toggle pairs: every sample's range is empty.
+  if (gated) std::fill(out.toggle_begin.begin(), out.toggle_begin.end(), 0u);
 
   out.words.resize(nn);
   out.tog.resize(nn);
@@ -257,7 +268,7 @@ void OverclockSim::run_stream_impl(State& st, const std::uint8_t* inputs,
   // lane_kernels.hpp): toggle-word popcount at/above the cutoff hands the
   // whole 64-lane row to the explicit-SIMD fill, below it the sparse
   // per-lane walk touches only the toggled slots.
-  [[maybe_unused]] const lane::DenseKernels& lk = dense_;
+  const lane::DenseKernels& lk = dense_;
   [[maybe_unused]] const int dense_cutoff = dense_.dense_cutoff;
 
   const std::int32_t* fanin = cnl_.fanins().data();
@@ -275,24 +286,29 @@ void OverclockSim::run_stream_impl(State& st, const std::uint8_t* inputs,
     const std::size_t cn = std::min<std::size_t>(64, n - c0);
     const std::uint64_t lanemask =
         cn == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << cn) - 1;
+    // Lanes whose settle times this chunk propagates: all of them on a
+    // full stream. A gated stream needs them only at its final edge, which
+    // seeds the last-edge State below — no capture reads any other.
+    std::uint64_t prop = lanemask;
+    if (gated) prop = c0 + cn == n ? std::uint64_t{1} << (cn - 1) : 0;
 
     // Pack this chunk's input bits into lane words (lane l = sample c0+l).
-    for (std::size_t i = 0; i < ni; ++i) {
-      std::uint64_t w = 0;
-      const std::uint8_t* col = inputs + c0 * ni + i;
-      for (std::size_t l = 0; l < cn; ++l)
-        w |= static_cast<std::uint64_t>(col[l * ni] & 1u) << l;
-      words[2 + i] = w;
-    }
+    lk.pack(inputs + c0 * ni, ni, cn, words + 2);
     cnl_.eval64(out.words);
 
     // Toggle words: lane l is set where sample c0+l differs from its
-    // predecessor (lane l-1, or the carried value for lane 0).
-    for (std::size_t net = 0; net < nn; ++net) {
-      const std::uint64_t w = words[net] & lanemask;
-      words[net] = w;
-      tog[net] = (w ^ ((w << 1) | out.carry[net])) & lanemask;
-      out.carry[net] = static_cast<std::uint8_t>((w >> (cn - 1)) & 1u);
+    // predecessor (lane l-1, or the carried value for lane 0). Lanes at
+    // and past cn hold don't-care values; the lane mask drops them here
+    // and the output unpack below never emits them.
+    if (prop != 0) {
+      for (std::size_t net = 0; net < nn; ++net) {
+        const std::uint64_t w = words[net];
+        tog[net] = (w ^ ((w << 1) | out.carry[net])) & lanemask;
+        out.carry[net] = static_cast<std::uint8_t>((w >> (cn - 1)) & 1u);
+      }
+    } else {
+      for (std::size_t net = 0; net < nn; ++net)
+        out.carry[net] = static_cast<std::uint8_t>((words[net] >> (cn - 1)) & 1u);
     }
 
     // Sparse settle propagation, cell-major: every toggled cell fills its
@@ -313,11 +329,15 @@ void OverclockSim::run_stream_impl(State& st, const std::uint8_t* inputs,
     // keeps the value, all-zeros yields +0.0 — exactly what advance()'s
     // 0/1 multiplication produces), so the doubles stay bitwise identical
     // to advance()'s.
-    for (std::size_t ci = 0; ci < nc; ++ci) {
-      std::uint64_t t = tog[base + ci];
+    //
+    // Every toggle word is cut to `prop`, so a gated stream's final-edge
+    // walk reads only rows written at that edge.
+    for (std::size_t ci = 0; ci < nc && prop != 0; ++ci) {
+      std::uint64_t t = tog[base + ci] & prop;
       if (!t) continue;
       const std::int32_t* f = fanin + 3 * ci;
-      const std::uint64_t t0 = tog[f[0]], t1 = tog[f[1]], t2 = tog[f[2]];
+      const std::uint64_t t0 = tog[f[0]] & prop, t1 = tog[f[1]] & prop,
+                          t2 = tog[f[2]] & prop;
       if constexpr (kRegs) {
         // Two-track propagation (local L rows plus carried M rows). The
         // register branch is per-cell, so the dense fill hoists it out of
@@ -441,6 +461,12 @@ void OverclockSim::run_stream_impl(State& st, const std::uint8_t* inputs,
       }
     }
 
+    // Settled output words: the output-net lane words transposed into
+    // per-sample words (8×8 bit blocks, see lane_kernels.hpp).
+    std::uint64_t out_words[64];
+    for (std::size_t k = 0; k < no; ++k) out_words[k] = words[cnl_.out_net(k)];
+    lk.unpack(out_words, no, cn, out.settled.data() + c0);
+
     // Output snapshot as a per-chunk counting sort. The natural per-lane
     // loop tests a ~coin-flip toggle bit per (lane, output) — one branch
     // misprediction per toggled pair dominated the whole kernel. Instead:
@@ -450,6 +476,8 @@ void OverclockSim::run_stream_impl(State& st, const std::uint8_t* inputs,
     // lane the pairs land in exactly the order the per-lane loop produced.
     // Integer streams record ticks only (has_ticks): consumers capture
     // through the exact tick threshold instead of dequantised doubles.
+    // A gated stream records none (see run_stream).
+    if (gated) continue;
     std::uint32_t cnt[64] = {0};
     std::size_t pairs = 0;
     for (std::size_t k = 0; k < no; ++k) {
@@ -496,37 +524,40 @@ void OverclockSim::run_stream_impl(State& st, const std::uint8_t* inputs,
         t &= t - 1;
       }
     }
-
-    // Settled output words: transpose the output-net lane words into
-    // per-sample words, k-major so each source word is read once.
-    std::fill_n(out.settled.data() + c0, cn, 0);
-    for (std::size_t k = 0; k < no; ++k) {
-      const std::uint64_t w = words[cnl_.out_net(k)];
-      std::uint64_t* s = out.settled.data() + c0;
-      for (std::size_t l = 0; l < cn; ++l) s[l] |= ((w >> l) & 1u) << k;
-    }
   }
   out.toggle_begin[n] = static_cast<std::uint32_t>(out.toggle_bit.size());
 
   // Leave `st` in the state n advance() calls would have produced: prev =
-  // final settled values, per-output snapshot of the last edge.
-  for (std::size_t net = 0; net < nn; ++net) st.prev[net] = out.carry[net];
-  const std::size_t last = n - 1;
-  st.out_settle.assign(no, 0.0);
+  // final settled values, per-output snapshot of the last edge — read off
+  // the final chunk's toggle words and settle rows at the last lane, which
+  // both a full and a gated stream propagated.
+  std::memcpy(st.prev.data(), out.carry.data(), nn);
+  const std::size_t ll = (n - 1) % 64;
+  const std::uint64_t last = out.settled[n - 1];
+  st.out_settle.resize(no);
   st.out_prev.resize(no);
   st.out_next.resize(no);
-  for (std::size_t k = 0; k < no; ++k) {
-    st.out_next[k] = static_cast<std::uint8_t>((out.settled[last] >> k) & 1u);
-    st.out_prev[k] = st.out_next[k];
-  }
   double worst = 0.0;
-  for (std::uint32_t t = out.toggle_begin[last]; t < out.toggle_begin[n]; ++t) {
-    const auto k = out.toggle_bit[t];
-    st.out_prev[k] ^= 1u;
-    // Integer streams carry ticks only; the dequantisation is exact, so
-    // the advance()/capture() interop stays bitwise (see PsGrid).
-    const double sns = kIntKernel ? PsGrid::to_ns(out.toggle_settle_ticks[t])
-                                  : out.toggle_settle[t];
+  for (std::size_t k = 0; k < no; ++k) {
+    const auto o = static_cast<std::size_t>(cnl_.out_net(k));
+    const auto v = static_cast<std::uint8_t>((last >> k) & 1u);
+    const bool toggled = (tog[o] >> ll) & 1u;
+    st.out_next[k] = v;
+    st.out_prev[k] = static_cast<std::uint8_t>(v ^ toggled);
+    double sns = 0.0;
+    if (toggled) {
+      // Integer streams carry ticks only; the dequantisation is exact, so
+      // the advance()/capture() interop stays bitwise (see PsGrid).
+      // Pipelined cones record the effective settle max(L, M).
+      if constexpr (kIntKernel) {
+        std::uint32_t ticks = lanes_ticks[o * 64 + ll];
+        if constexpr (kRegs) ticks = std::max(ticks, lanes_c_ticks[o * 64 + ll]);
+        sns = PsGrid::to_ns(ticks);
+      } else {
+        sns = lanes[o * 64 + ll];
+        if constexpr (kRegs) sns = std::max(sns, lanes_c[o * 64 + ll]);
+      }
+    }
     st.out_settle[k] = sns;
     worst = std::max(worst, sns);
   }

@@ -174,6 +174,11 @@ class OverclockSim {
     /// True iff the last run_stream filled toggle_settle_ticks (integer
     /// kernel); false after a reference run. capture_word dispatches on it.
     bool has_ticks = false;
+    /// True iff the last run_stream was slack-gated (see run_stream): it
+    /// recorded no toggle pairs, so every capture returns the settled word
+    /// — exact for any period at or above the gate, which is all a gated
+    /// stream may be captured at.
+    bool gated = false;
 
     /// Settle time of pair `t` in ns, whichever kernel produced it.
     double toggle_settle_ns(std::size_t t) const {
@@ -236,8 +241,18 @@ class OverclockSim {
   /// reset() of `st`; on return `st` holds the same observable state as
   /// `n` advance() calls (per-net settle times of untoggled nets excepted,
   /// which later advance()/capture() calls never read).
+  ///
+  /// Slack gate: `min_period_ticks` is the shortest period (as
+  /// PsGrid::period_ticks) any capture of this stream will use; 0, the
+  /// default, means unknown. No net's settle time — on the single track or
+  /// either track of the pipelined model — exceeds its structural arrival
+  /// time, so when min_period_ticks >= critical_path_ticks() no captured
+  /// bit can be stale. The integer kernel then skips settle propagation and
+  /// the toggle snapshot (out.gated): settled words only, plus the settle
+  /// times of the final edge, so `st` is left exactly as above. The double
+  /// kernel (critical_path_ticks() == 0) never gates.
   void run_stream(State& st, const std::uint8_t* inputs, std::size_t n,
-                  SweepStream& out) const;
+                  SweepStream& out, std::uint64_t min_period_ticks = 0) const;
 
   /// The retained double-settle kernel, runnable regardless of mode: the
   /// golden reference the integer kernel is tested (and benched) against.
@@ -254,8 +269,9 @@ class OverclockSim {
   /// step() calls minus the captures. Interoperates with step()/
   /// resample_last() — on return the internal state is what n advance()
   /// calls would have left (see the shared-circuit run_stream above).
-  void run_stream(const std::uint8_t* inputs, std::size_t n, SweepStream& out) {
-    run_stream(state_, inputs, n, out);
+  void run_stream(const std::uint8_t* inputs, std::size_t n, SweepStream& out,
+                  std::uint64_t min_period_ticks = 0) {
+    run_stream(state_, inputs, n, out, min_period_ticks);
   }
 
   /// Clock edge: apply `inputs`, sample the output register after
@@ -284,7 +300,7 @@ class OverclockSim {
  private:
   template <bool kIntKernel, bool kRegs>
   void run_stream_impl(State& st, const std::uint8_t* inputs, std::size_t n,
-                       SweepStream& out) const;
+                       SweepStream& out, bool gated) const;
   void advance_regs(State& st) const;
 
   Netlist nl_;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "area/area_model.hpp"
 #include "common/rng.hpp"
 #include "core/baseline.hpp"
@@ -262,6 +265,140 @@ TEST_F(CircuitEvalTest, ProjectBatchJitterIsSeedDeterministic) {
   bool any_diff = false;
   for (std::size_t s = 0; s < a.size(); ++s) any_diff |= a[s] != c[s];
   EXPECT_TRUE(any_diff);  // different seed ⇒ different jitter draws
+}
+
+// Fused references: the settled rows project_batch returns from its own
+// stream pass must equal project_settled() bit for bit, for every column
+// architecture (array, Wallace, CCM, pipelined), batch sizes around the
+// scalar detour and the 64-lane chunk edges, and empty / full / sparse
+// (unordered, repeated) row selections — at a gated clock and at an
+// over-clocked one. Asking for references must not perturb the outputs.
+TEST_F(CircuitEvalTest, ProjectBatchFusedReferencesMatchProjectSettled) {
+  const std::vector<double> vals{0.81, -0.62, 0.44, -0.27, 0.93, -0.15};
+  LinearProjectionDesign d;
+  for (const MultConfig cfg :
+       {MultConfig{MultArch::Array, 5, 1}, MultConfig{MultArch::Wallace, 5, 1},
+        MultConfig{MultArch::Ccm, 5, 1}, MultConfig{MultArch::Array, 5, 2}})
+    d.columns.push_back(make_column(vals, cfg));
+  const std::size_t p = d.dims_p();
+
+  Rng rng(404);
+  std::vector<std::vector<std::uint32_t>> stream(65);
+  for (auto& codes : stream) {
+    codes.resize(p);
+    for (auto& c : codes) c = static_cast<std::uint32_t>(rng.uniform_u64(512));
+  }
+
+  for (const double freq : {150.0, 420.0}) {
+    d.target_freq_mhz = freq;
+    const auto plan = simulated_plan(d, reference_location_1());
+    ProjectionCircuit fused(d, device_, plan, 9, nullptr, 5);
+    ProjectionCircuit plain(d, device_, plan, 9, nullptr, 5);
+    std::size_t offset = 0;
+    for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{63},
+                          std::size_t{64}, std::size_t{65}}) {
+      std::vector<const std::vector<std::uint32_t>*> batch;
+      for (std::size_t i = 0; i < n; ++i)
+        batch.push_back(&stream[(offset + i) % stream.size()]);
+      offset += n;
+      std::vector<std::vector<double>> settled;
+      plain.project_settled(batch, settled);
+
+      std::vector<std::size_t> all(n), sparse;
+      for (std::size_t i = 0; i < n; ++i) all[i] = i;
+      for (std::size_t i = n; i-- > 0;)
+        if (i % 3 == 0) sparse.push_back(i);
+      sparse.push_back(n - 1);  // repeated row
+      for (const auto* rows : {&all, &sparse}) {
+        std::vector<std::vector<double>> ys, want, refs;
+        fused.project_batch(batch, ys, rows, &refs);
+        plain.project_batch(batch, want);
+        const std::string what = "f " + std::to_string(freq) + " n " +
+                                 std::to_string(n) + " rows " +
+                                 std::to_string(rows->size());
+        ASSERT_EQ(ys, want) << what;
+        ASSERT_EQ(refs.size(), rows->size()) << what;
+        for (std::size_t j = 0; j < rows->size(); ++j)
+          ASSERT_EQ(refs[j], settled[(*rows)[j]]) << what << " j " << j;
+      }
+      const std::vector<std::size_t> none;
+      std::vector<std::vector<double>> ys, want, refs(3);
+      fused.project_batch(batch, ys, &none, &refs);
+      plain.project_batch(batch, want);
+      ASSERT_EQ(ys, want);
+      ASSERT_TRUE(refs.empty());
+    }
+    // Both stream kinds fed references: gated at the slow clock, full
+    // when over-clocked.
+    const auto counts = fused.stream_counts();
+    EXPECT_GT(freq < 200.0 ? counts.gated : counts.full, 0u) << freq;
+  }
+}
+
+// A circuit whose clock crosses the slack-gate bound between batches, via
+// set_clock with and without derate: gated and full streams alternate on
+// the same multipliers (register state carried across), and every output
+// must match the scalar project() loop and a circuit with the gate off.
+TEST_F(CircuitEvalTest, ProjectBatchSlackGateCrossesTheBoundWithSetClock) {
+  const auto d = design(5, 150.0);
+  const auto plan = simulated_plan(d, reference_location_1());  // jitter ON
+  const std::size_t p = d.dims_p();
+
+  Rng rng(71);
+  std::vector<std::vector<std::uint32_t>> stream(6 * 64);
+  for (auto& codes : stream) {
+    codes.resize(p);
+    for (auto& c : codes) c = static_cast<std::uint32_t>(rng.uniform_u64(512));
+  }
+  // (nominal MHz, derate) per 64-sample segment: 150 and 150·1.18 sit
+  // below the wl-5 bound, 420 and 250·1.6 above it.
+  const std::pair<double, double> clocks[] = {
+      {150.0, 1.0}, {420.0, 1.0}, {150.0, 1.18},
+      {250.0, 1.6}, {200.0, 1.0}, {420.0, 1.0}};
+
+  ProjectionCircuit seq(d, device_, plan, 9, nullptr, 13);
+  ProjectionCircuit gated(d, device_, plan, 9, nullptr, 13);
+  ProjectionCircuit full(d, device_, plan, 9, nullptr, 13);
+  full.set_slack_gate(false);
+  std::vector<const std::vector<std::uint32_t>*> batch;
+  std::vector<std::vector<double>> ys_gated, ys_full;
+  std::vector<double> y;
+  for (std::size_t seg = 0; seg < 6; ++seg) {
+    if (seg > 0) {
+      seq.set_clock(clocks[seg].first, clocks[seg].second);
+      gated.set_clock(clocks[seg].first, clocks[seg].second);
+      full.set_clock(clocks[seg].first, clocks[seg].second);
+    }
+    batch.clear();
+    for (std::size_t i = 0; i < 64; ++i) batch.push_back(&stream[seg * 64 + i]);
+    gated.project_batch(batch, ys_gated);
+    full.project_batch(batch, ys_full);
+    for (std::size_t i = 0; i < 64; ++i) {
+      seq.project(stream[seg * 64 + i], y);
+      ASSERT_EQ(ys_gated[i], y) << "segment " << seg << " sample " << i;
+      ASSERT_EQ(ys_full[i], y) << "segment " << seg << " sample " << i;
+    }
+  }
+  const std::uint64_t kp = d.dims_k() * d.dims_p();
+  EXPECT_EQ(gated.stream_counts().gated + gated.stream_counts().full, 6 * kp);
+  EXPECT_GE(gated.stream_counts().gated, 3 * kp);  // the three slow segments
+  EXPECT_GT(gated.stream_counts().full, 0u);
+  EXPECT_EQ(full.stream_counts().gated, 0u);
+  EXPECT_EQ(full.stream_counts().full, 6 * kp);
+}
+
+TEST_F(CircuitEvalTest, ProjectBatchReferenceRowsAreValidated) {
+  const auto d = design(5, 310.0);
+  const auto plan = simulated_plan(d, reference_location_1());
+  ProjectionCircuit circuit(d, device_, plan, 9, nullptr, 1);
+  const std::vector<std::uint32_t> codes(d.dims_p(), 3);
+  std::vector<std::vector<double>> ys, refs;
+  const std::vector<std::size_t> out_of_range{2};
+  EXPECT_THROW(circuit.project_batch({&codes, &codes}, ys, &out_of_range, &refs),
+               CheckError);
+  const std::vector<std::size_t> first{0};
+  EXPECT_THROW(circuit.project_batch({&codes, &codes}, ys, &first, nullptr),
+               CheckError);
 }
 
 TEST_F(CircuitEvalTest, ProjectBatchValidatesInputs) {

@@ -148,6 +148,21 @@ TEST(ServeMetrics, JsonContainsEveryKey) {
   EXPECT_NE(json.find("0.25"), std::string::npos);
 }
 
+TEST(ServeMetrics, StreamCountsFeedTheGatedShare) {
+  ServeMetrics m;
+  EXPECT_EQ(m.snapshot().gated_share(), 0.0);  // no stream yet
+  m.on_streams(3, 1);
+  m.on_streams(0, 0);
+  const auto s = m.snapshot();
+  EXPECT_EQ(s.streams_gated, 3u);
+  EXPECT_EQ(s.streams_full, 1u);
+  EXPECT_DOUBLE_EQ(s.gated_share(), 0.75);
+  const auto json = s.to_json();
+  for (const char* key : {"\"streams_gated\": 3", "\"streams_full\": 1",
+                          "\"gated_share\": 0.75"})
+    EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
+}
+
 TEST(ServeMetrics, ConstructorValidation) {
   EXPECT_THROW(ServeMetrics(0.0, 10), CheckError);
   EXPECT_THROW(ServeMetrics(10.0, 0), CheckError);

@@ -121,6 +121,39 @@ TEST(ProjectionServer, ServesExactResultsAtSafeClock) {
   }
 }
 
+// Far below the multipliers' critical path every batched multiplier
+// stream is slack-gated, and the snapshot says so.
+TEST(ProjectionServer, SafeClockRunsEveryStreamGated) {
+  const auto design = serve_design(100.0);
+  const Device device = make_device();
+  const auto plan = deterministic_plan(design);
+
+  ServeConfig cfg;
+  cfg.workers = 1;
+  cfg.max_batch = 16;
+  cfg.max_wait_ms = 0.0;
+  cfg.check_fraction = 0.5;
+  cfg.start_paused = true;  // full batches: no single-sample scalar detour
+  cfg.governor.f_target_mhz = 100.0;
+  cfg.governor.f_floor_mhz = 100.0;
+
+  ProjectionServer server(design, device, plan, kWlX, nullptr, cfg, nullptr);
+  Rng rng(9);
+  for (std::uint64_t id = 1; id <= 64; ++id)
+    ASSERT_TRUE(server.submit({id, random_codes(rng, 4), 0.0}));
+  server.resume();
+  server.wait_idle();
+
+  const auto snap = server.metrics_snapshot();
+  EXPECT_EQ(snap.served, 64u);
+  EXPECT_EQ(snap.check_errors, 0u);
+  EXPECT_GT(snap.checks, 0u);
+  EXPECT_GT(snap.streams_gated, 0u);
+  EXPECT_EQ(snap.streams_gated % 8, 0u);  // K·P = 8 streams per segment
+  EXPECT_EQ(snap.streams_full, 0u);
+  EXPECT_DOUBLE_EQ(snap.gated_share(), 1.0);
+}
+
 TEST(ProjectionServer, SubmitValidatesRequestShape) {
   const auto design = serve_design(100.0);
   const Device device = make_device();

@@ -16,53 +16,10 @@
 #include "timing/lane_kernels.hpp"
 #include "timing/overclock_sim.hpp"
 
+#include "random_circuits.hpp"
+
 namespace oclp {
 namespace {
-
-// A random DAG over 1-3 input cells; with_regs sprinkles PipeRegs in so the
-// two-track (kRegs) kernels get exercised too.
-Netlist random_netlist(std::size_t n_in, std::size_t n_cells, std::size_t n_out,
-                       bool with_regs, Rng& rng) {
-  static const CellType kTypes[] = {
-      CellType::Not,   CellType::And2, CellType::Or2,   CellType::Xor2,
-      CellType::Nand2, CellType::Nor2, CellType::Xnor2, CellType::AndNot2,
-      CellType::Maj3,  CellType::Xor3, CellType::Mux2};
-  NetlistBuilder nb;
-  nb.add_inputs(n_in);
-  for (std::size_t i = 0; i < n_cells; ++i) {
-    const auto pick = [&] {
-      return static_cast<std::int32_t>(rng.uniform_u64(nb.num_nets()));
-    };
-    if (with_regs && rng.uniform_u64(8) == 0) {
-      nb.reg_(pick());
-      continue;
-    }
-    const CellType type = kTypes[rng.uniform_u64(std::size(kTypes))];
-    const std::int32_t a = pick();
-    const std::int32_t b = cell_arity(type) > 1 ? pick() : -1;
-    const std::int32_t c = cell_arity(type) > 2 ? pick() : -1;
-    nb.add_cell(type, a, b, c);
-  }
-  for (std::size_t o = 0; o < n_out; ++o)
-    nb.mark_output(static_cast<std::int32_t>(rng.uniform_u64(n_in + n_cells)));
-  return nb.build();
-}
-
-// Grid-snapped random delays, so TimingMode::Auto lowers integer.
-std::vector<double> grid_delays(const Netlist& nl, Rng& rng) {
-  std::vector<double> delays(nl.num_cells(), 0.0);
-  for (std::size_t i = 0; i < nl.num_cells(); ++i)
-    if (!cell_is_free(nl.cells()[i].type))
-      delays[i] = PsGrid::snap_ns(rng.uniform(0.05, 0.9));
-  return delays;
-}
-
-std::vector<std::uint8_t> random_stream(std::size_t n, std::size_t n_in,
-                                        Rng& rng) {
-  std::vector<std::uint8_t> inputs(n * n_in);
-  for (auto& b : inputs) b = static_cast<std::uint8_t>(rng.uniform_u64(2));
-  return inputs;
-}
 
 // Run `inputs` through `sim` with the given kernels/cutoff and require the
 // stream (and post-stream state) to be bitwise identical to the double
@@ -196,6 +153,54 @@ TEST(LaneKernels, DispatchSelectsASupportedVariant) {
     if (variants[v].fill == k.fill && variants[v].fill2 == k.fill2)
       found = true;
   EXPECT_TRUE(found) << "dispatched isa " << k.isa;
+}
+
+// Every variant's 8×8-block transposes (portable, and GFNI where the CPU
+// has it) against the bit-at-a-time definitions, over every row width
+// around the 8-byte block edges, partial and full chunks, and byte values
+// with stray high bits (only bit 0 of an input byte counts). The input
+// buffer is exactly cn·ni bytes, so an over-read shows under the address
+// sanitizer.
+TEST(LaneKernels, BlockTransposesMatchBitwiseDefinition) {
+  lane::DenseKernels variants[3];
+  const int nv = lane::all_dense_kernels(variants);
+  for (int v = 0; v < nv; ++v) {
+    SCOPED_TRACE(variants[v].isa);
+    Rng rng(8);
+    for (std::size_t ni : {1, 2, 5, 7, 8, 9, 14, 15, 16, 17, 23, 64}) {
+      for (std::size_t cn : {1, 2, 7, 8, 9, 31, 63, 64}) {
+        std::vector<std::uint8_t> rows(cn * ni);
+        for (auto& b : rows)
+          b = static_cast<std::uint8_t>(rng.uniform_u64(256));
+        std::vector<std::uint64_t> words(ni, 0xdeadbeefull);
+        variants[v].pack(rows.data(), ni, cn, words.data());
+        for (std::size_t i = 0; i < ni; ++i) {
+          std::uint64_t want = 0;
+          for (std::size_t l = 0; l < cn; ++l)
+            want |= static_cast<std::uint64_t>(rows[l * ni + i] & 1u) << l;
+          ASSERT_EQ(words[i], want)
+              << "pack ni " << ni << " cn " << cn << " i " << i;
+        }
+      }
+    }
+    for (std::size_t no : {1, 3, 8, 9, 14, 16, 17, 40, 64}) {
+      for (std::size_t cn : {1, 5, 8, 13, 63, 64}) {
+        std::vector<std::uint64_t> lane_words(no);
+        for (auto& w : lane_words) w = rng.next();  // lanes >= cn: don't-care
+        // One sentinel past the end: unpack must write exactly cn samples.
+        std::vector<std::uint64_t> samples(cn + 1, 0x5a5a5a5aull);
+        variants[v].unpack(lane_words.data(), no, cn, samples.data());
+        for (std::size_t l = 0; l < cn; ++l) {
+          std::uint64_t want = 0;
+          for (std::size_t k = 0; k < no; ++k)
+            want |= ((lane_words[k] >> l) & 1u) << k;
+          ASSERT_EQ(samples[l], want)
+              << "unpack no " << no << " cn " << cn << " l " << l;
+        }
+        ASSERT_EQ(samples[cn], 0x5a5a5a5aull) << "unpack wrote past cn " << cn;
+      }
+    }
+  }
 }
 
 }  // namespace
