@@ -51,7 +51,7 @@ struct WlTiming {
   int wl = 0;
   double fast_iters_per_s = 0.0;
   double ref_iters_per_s = 0.0;
-  bool chains_identical = false;
+  bool chains_match = false;
 };
 
 /// Sampler throughput at one word-length, fast path vs the retained
@@ -74,7 +74,7 @@ WlTiming time_wordlength(const Matrix& xc, const ErrorModel& model, int wl,
   GibbsSettings ref_settings = gibbs;
   ref_settings.reference_impl = true;
   const GibbsResult ref = sample_projection(xc, prior, ref_settings);
-  t.chains_identical = fast.lambda == ref.lambda && fast.visits == ref.visits;
+  t.chains_match = fast.lambda == ref.lambda && fast.visits == ref.visits;
 
   const auto throughput = [&](bool reference_impl) {
     GibbsSettings s = gibbs;
@@ -131,10 +131,12 @@ bool designs_equal(const std::vector<LinearProjectionDesign>& a,
   return true;
 }
 
-/// BENCH_optimiser.json: sampler iterations/second per word-length (fast
-/// vs reference), the exponential R(wl) fitted to the measured fast path
-/// at the Table-I chain length, and the end-to-end Algorithm-1 run time at
-/// full Table-I settings both ways, with a designs-identical check.
+/// BENCH_optimiser.json: the band-scan ISA, sampler iterations/second per
+/// word-length (fast vs reference), the exponential R(wl) fitted to the
+/// measured fast path at the Table-I chain length, and the end-to-end
+/// Algorithm-1 run time at full Table-I settings both ways. The
+/// *_checksum_match fields say whether the fast path drew the reference's
+/// chains and designs; tools/check_perf_floors.py fails CI on a false one.
 void write_optimiser_probe(const char* path) {
   Context& ctx = Context::get();
   const auto& models = ctx.error_models_at_target();
@@ -189,6 +191,7 @@ void write_optimiser_probe(const char* path) {
   out.precision(10);
   out << "{\n"
       << "  \"bench\": \"optimiser_fast_path\",\n"
+      << "  \"band_scan_isa\": \"" << band_scans().back().isa << "\",\n"
       << "  \"beta\": 4,\n"
       << "  \"throughput_chain_iterations\": 400,\n"
       << "  \"per_wordlength\": [\n";
@@ -198,7 +201,7 @@ void write_optimiser_probe(const char* path) {
         << ", \"fast_iters_per_sec\": " << t.fast_iters_per_s
         << ", \"reference_iters_per_sec\": " << t.ref_iters_per_s
         << ", \"speedup\": " << t.fast_iters_per_s / t.ref_iters_per_s
-        << ", \"chains_identical\": " << (t.chains_identical ? "true" : "false")
+        << ", \"chains_checksum_match\": " << (t.chains_match ? "true" : "false")
         << "}" << (i + 1 < timings.size() ? "," : "") << "\n";
   }
   const auto& wl9 = timings.back();
@@ -212,7 +215,7 @@ void write_optimiser_probe(const char* path) {
       << "  \"end_to_end_table1\": {\"fast_seconds\": " << dt_fast
       << ", \"reference_seconds\": " << dt_ref
       << ", \"speedup\": " << dt_ref / dt_fast
-      << ", \"designs_identical\": " << (identical ? "true" : "false")
+      << ", \"designs_checksum_match\": " << (identical ? "true" : "false")
       << "}\n"
       << "}\n";
   std::printf(

@@ -1,10 +1,15 @@
 #include "bayes/gibbs.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/rng.hpp"
 #include "linalg/decompositions.hpp"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace oclp {
 
@@ -44,10 +49,105 @@ std::size_t grid_lower(const std::vector<double>& grid, double x) {
   return static_cast<std::size_t>(
       std::lower_bound(grid.begin(), grid.end(), x) - grid.begin());
 }
+
+// --- Band scans ---------------------------------------------------------------
+// Both variants score with the scalar code's operations in its order, and
+// -ffp-contract=off keeps the lanes from fusing them, so both write the same
+// lw bits. The maximum of finite values is the same in any lane order, and
+// a signed-zero wmax gives the same exp(e). As in timing/lane_kernels, the
+// AVX-512 clone carries a per-function target attribute, picked at run time.
+
+std::size_t scan_scalar(const double* grid, const double* log_prior,
+                        std::size_t lo, std::size_t hi, double mu, double k,
+                        double* lw, std::uint32_t* idx, double* wmax) {
+  *wmax = -1e300;
+  for (std::size_t g = lo; g <= hi; ++g) {
+    const double d = grid[g] - mu;
+    lw[g] = log_prior[g] - d * d * k;
+    *wmax = std::max(*wmax, lw[g]);
+  }
+  std::size_t n = 0;
+  for (std::size_t g = lo; g <= hi; ++g) {
+    idx[n] = static_cast<std::uint32_t>(g);
+    n += !(lw[g] - *wmax < kLogPrune);
+  }
+  return n;
+}
+
+#if defined(__x86_64__)
+// The tail runs masked. max(w, acc) keeps acc when w is NaN, as
+// std::max(acc, w) does, and "not less than" keeps a NaN as a survivor.
+__attribute__((target("avx512f")))
+std::size_t scan_avx512(const double* grid, const double* log_prior,
+                        std::size_t lo, std::size_t hi, double mu, double k,
+                        double* lw, std::uint32_t* idx, double* wmax) {
+  const std::size_t end = hi + 1;
+  const auto mask = [end](std::size_t g) {
+    return static_cast<__mmask8>(end - g >= 8 ? 0xFF : (1u << (end - g)) - 1);
+  };
+  const __m512d vmu = _mm512_set1_pd(mu), vk = _mm512_set1_pd(k);
+  __m512d acc = _mm512_set1_pd(-1e300);
+  for (std::size_t g = lo; g < end; g += 8) {
+    const __mmask8 m = mask(g);
+    const __m512d d = _mm512_sub_pd(_mm512_maskz_loadu_pd(m, grid + g), vmu);
+    const __m512d w = _mm512_sub_pd(_mm512_maskz_loadu_pd(m, log_prior + g),
+                                    _mm512_mul_pd(_mm512_mul_pd(d, d), vk));
+    _mm512_mask_storeu_pd(lw + g, m, w);
+    acc = _mm512_mask_max_pd(acc, m, w, acc);
+  }
+  alignas(64) double lanes[8];
+  _mm512_store_pd(lanes, acc);
+  *wmax = *std::max_element(lanes, lanes + 8);
+  const __m512d vmax = _mm512_set1_pd(*wmax), prune = _mm512_set1_pd(kLogPrune);
+  std::size_t n = 0;
+  for (std::size_t g = lo; g < end; g += 8) {
+    const __m512d e = _mm512_sub_pd(_mm512_maskz_loadu_pd(mask(g), lw + g), vmax);
+    for (unsigned keep = _mm512_mask_cmp_pd_mask(mask(g), e, prune, _CMP_NLT_UQ);
+         keep != 0; keep &= keep - 1)
+      idx[n++] = static_cast<std::uint32_t>(g + std::countr_zero(keep));
+  }
+  return n;
+}
+#endif  // __x86_64__
 }  // namespace
 
+const std::vector<BandScan>& band_scans() {
+  static const std::vector<BandScan> scans = [] {
+    std::vector<BandScan> v{{scan_scalar, "scalar"}};
+#if defined(__x86_64__)
+    if (__builtin_cpu_supports("avx512f")) v.push_back({scan_avx512, "avx512f"});
+#endif
+    return v;
+  }();
+  return scans;
+}
+
+std::size_t draw_band(const BandScan& scan, const std::vector<double>& grid,
+                      const double* log_prior, std::size_t lo, std::size_t hi,
+                      double mu, double inv_two_var, double u, double* lw,
+                      std::uint32_t* idx) {
+  double wmax = 0.0;
+  const std::size_t n =
+      scan.scan(grid.data(), log_prior, lo, hi, mu, inv_two_var, lw, idx, &wmax);
+  // A pruned entry's weight is exactly +0.0: adding it leaves the running
+  // total as it was, and subtracting it leaves a positive remainder
+  // positive, so the survivors alone, in index order, give the total and
+  // the walk over the whole band.
+  double total = 0.0;
+  for (std::size_t j = 0; j < n; ++j)
+    total += lw[idx[j]] = std::exp(lw[idx[j]] - wmax);
+  OCLP_CHECK_MSG(std::isfinite(total), "categorical: non-finite weight total");
+  OCLP_CHECK_MSG(total > 0.0, "categorical: all weights are zero");
+  double rem = u * total;
+  if (rem == 0.0) return lo;  // the band walk stops at its first step
+  for (std::size_t j = 0; j < n; ++j)
+    if ((rem -= lw[idx[j]]) <= 0.0) return idx[j];
+  return grid.size() - 1;
+}
+
 GibbsResult sample_projection(const Matrix& x, const CoeffPrior& prior,
-                              const GibbsSettings& settings) {
+                              const GibbsSettings& settings,
+                              const BandScan& scan) {
   if (settings.reference_impl) return sample_projection_reference(x, prior, settings);
 
   const std::size_t p = x.rows();
@@ -107,6 +207,7 @@ GibbsResult sample_projection(const Matrix& x, const CoeffPrior& prior,
   double loglik_acc = 0.0;
 
   std::vector<double> weights(grid.size());
+  std::vector<std::uint32_t> survivors(grid.size());
   const int total_iters = settings.burn_in + settings.samples;
   for (int iter = 0; iter < total_iters; ++iter) {
     // -- f_i | λ, Ψ ---------------------------------------------------------
@@ -183,42 +284,9 @@ GibbsResult sample_projection(const Matrix& x, const CoeffPrior& prior,
         g_lo = std::min(g_lo, g0);
         g_hi = std::max(g_hi, g0);
       }
-      double wmax = -1e300;
-      for (std::size_t g = g_lo; g <= g_hi; ++g) {
-        const double d = grid[g] - mu;
-        const double lw = log_prior[g] - d * d * inv_two_var;
-        weights[g] = lw;
-        wmax = std::max(wmax, lw);
-      }
-      // Fused exponentiation + normalising total over the band, pruning
-      // in-band stragglers below the same threshold.
-      double wtotal = 0.0;
-      for (std::size_t g = g_lo; g <= g_hi; ++g) {
-        const double e = weights[g] - wmax;
-        const double w = e < kLogPrune ? 0.0 : std::exp(e);
-        weights[g] = w;
-        wtotal += w;
-      }
-      std::size_t g;
-      if (g_lo == 0 && g_hi == grid.size() - 1) {
-        g = rng.categorical(weights, wtotal);
-      } else {
-        // Inline walk, identical to Rng::categorical over the full grid with
-        // the pruned entries at zero weight: subtracting 0.0 from a strictly
-        // positive remainder never crosses zero, so skipping them is exact,
-        // and the fall-through bin is the same last index. Consumes exactly
-        // one uniform either way.
-        OCLP_CHECK_MSG(wtotal > 0.0, "categorical: all weights are zero");
-        double rem = rng.uniform() * wtotal;
-        g = grid.size() - 1;
-        for (std::size_t j = g_lo; j <= g_hi; ++j) {
-          rem -= weights[j];
-          if (rem <= 0.0) {
-            g = j;
-            break;
-          }
-        }
-      }
+      const std::size_t g =
+          draw_band(scan, grid, log_prior.data(), g_lo, g_hi, mu, inv_two_var,
+                    rng.uniform(), weights.data(), survivors.data());
       last_index[r] = g;
       lambda[r] = grid[g];
     }

@@ -72,10 +72,38 @@ struct GibbsResult {
   double avg_log_likelihood = 0.0;
 };
 
+/// One instruction-set variant of the λ step's band scan: over the band
+/// [lo, hi] it writes lw[g] = log_prior[g] − (grid[g] − μ)²·k, sets *wmax
+/// to the largest of −1e300 and every lw[g], and writes to idx, ascending,
+/// each g whose lw[g] − *wmax is not below the prune; returns their count.
+struct BandScan {
+  std::size_t (*scan)(const double* grid, const double* log_prior,
+                      std::size_t lo, std::size_t hi, double mu, double k,
+                      double* lw, std::uint32_t* idx, double* wmax);
+  const char* isa;  ///< "avx512f" or "scalar"
+};
+
+/// The band scans this CPU runs, scalar first; sample_projection uses the
+/// last. Probed once.
+const std::vector<BandScan>& band_scans();
+
+/// Draw λ_p's grid index from the band [lo, hi] with the uniform `u`: the
+/// categorical walk over every band entry, pruned ones at weight zero, so
+/// u·W == 0 stops on `lo` and a rounding fall-through returns the grid's
+/// last index. `lw` and `idx` are scratch of grid.size() entries. Throws
+/// CheckError unless the weight total is finite and positive.
+std::size_t draw_band(const BandScan& scan, const std::vector<double>& grid,
+                      const double* log_prior, std::size_t lo, std::size_t hi,
+                      double mu, double inv_two_var, double u, double* lw,
+                      std::uint32_t* idx);
+
 /// Sample one projection vector for the residual data `x` (P×N, centered)
-/// under `prior`. Deterministic in settings.seed.
+/// under `prior`. Deterministic in settings.seed. `scan` is a test and
+/// bench hook that forces one band_scans() variant; results are identical
+/// for any choice, only the speed moves.
 GibbsResult sample_projection(const Matrix& x, const CoeffPrior& prior,
-                              const GibbsSettings& settings);
+                              const GibbsSettings& settings,
+                              const BandScan& scan = band_scans().back());
 
 /// The pre-restructure sampler, retained verbatim as the golden reference
 /// for the sufficient-statistics fast path: per-iteration O(n) residual

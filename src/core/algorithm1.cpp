@@ -1,8 +1,10 @@
 #include "core/algorithm1.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "bayes/prior.hpp"
 #include "common/rng.hpp"
@@ -91,10 +93,6 @@ OptimisationFramework::OptimisationFramework(OptimisationSettings settings,
   mu_ = center_rows(x_centered_);
 }
 
-std::vector<LinearProjectionDesign> OptimisationFramework::run(ThreadPool* pool) {
-  return run(ExecPolicy::pooled(pool));
-}
-
 std::vector<LinearProjectionDesign> OptimisationFramework::run(
     const ExecPolicy& exec) {
   const auto p = x_centered_.rows();
@@ -140,7 +138,7 @@ std::vector<LinearProjectionDesign> OptimisationFramework::run(
       residuals[parent_idx] = std::move(residual);
     });
 
-    exec.for_each(0, jobs, [&](std::size_t job) {
+    const auto run_job = [&](std::size_t job) {
       const std::size_t parent_idx = job / num_cfg;
       const std::size_t cfg_idx = job % num_cfg;
       const MultConfig& config = settings_.configs[cfg_idx];
@@ -180,7 +178,17 @@ std::vector<LinearProjectionDesign> OptimisationFramework::run(
       cand.design.area_estimate = cand.area;
       candidates[job] = std::move(cand);
       valid[job] = 1;
+    };
+    // Longest chain first: a chain's cost grows with its prior's grid
+    // (Eqs. 7-8), so chains go out largest grid first, ties in job order,
+    // each item pulling the next one off a shared cursor when it starts.
+    std::vector<std::size_t> order(jobs);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return priors[a % num_cfg].size() > priors[b % num_cfg].size();
     });
+    std::atomic<std::size_t> next{0};
+    exec.for_each(0, jobs, [&](std::size_t) { run_job(order[next++]); });
 
     std::vector<CandidateProjection> live;
     live.reserve(jobs);

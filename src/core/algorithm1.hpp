@@ -65,17 +65,15 @@ class OptimisationFramework {
   OptimisationFramework(OptimisationSettings settings, Matrix x_train,
                         ErrorModelMap models, AreaModel area);
 
-  /// Run Algorithm 1; returns up to Q designs sorted by area. Config
-  /// sweeps of all carried candidates are distributed per `exec` (the
-  /// policy is also handed down to the residual GEMMs), defaulting to the
-  /// global pool. Run-invariant work is hoisted: one prior per config
-  /// for the whole run, one training-data residual per (dimension, parent).
-  /// The designs are bitwise-independent of the policy: jobs write
-  /// distinct candidate slots and each Gibbs chain is seeded per-job.
+  /// Run Algorithm 1; returns up to Q designs sorted by area. Each
+  /// dimension's chains run on the workers of `exec`, largest prior grid
+  /// first, one chain per pull (the policy is also handed down to the
+  /// residual GEMMs), defaulting to the global pool. Run-invariant work is
+  /// hoisted: one prior per config for the whole run, one training-data
+  /// residual per (dimension, parent). The designs are bitwise-independent
+  /// of the policy and the schedule: jobs write distinct candidate slots
+  /// and each Gibbs chain is seeded per-job.
   std::vector<LinearProjectionDesign> run(const ExecPolicy& exec = {});
-
-  /// Back-compat shim: run on `pool` (nullptr = the global pool).
-  std::vector<LinearProjectionDesign> run(ThreadPool* pool);
 
   /// Data mean captured at construction (needed to evaluate the designs).
   const std::vector<double>& data_mean() const { return mu_; }

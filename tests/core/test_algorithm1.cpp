@@ -6,6 +6,7 @@
 #include "common/rng.hpp"
 #include "core/synthetic.hpp"
 #include "fabric/calibration.hpp"
+#include "golden_checksum.hpp"
 
 namespace oclp {
 namespace {
@@ -243,6 +244,41 @@ TEST_F(Algorithm1Test, FastSamplerReproducesReferenceDesigns) {
       EXPECT_EQ(fast[i].columns[c].config, ref[i].columns[c].config);
       EXPECT_EQ(fast[i].columns[c].values(), ref[i].columns[c].values());
     }
+  }
+}
+
+std::uint64_t design_checksum(
+    const std::vector<LinearProjectionDesign>& designs) {
+  testing_golden::Fnv1a f;
+  f.mix(std::uint64_t{designs.size()});
+  for (const auto& d : designs) {
+    for (const auto& col : d.columns) {
+      f.mix(static_cast<std::uint64_t>(col.config.arch));
+      f.mix(static_cast<std::uint64_t>(col.config.wordlength));
+      f.mix(static_cast<std::uint64_t>(col.config.pipeline_depth));
+      for (const auto& q : col.coeffs)
+        f.mix(static_cast<std::uint64_t>(q.magnitude) << 1 | (q.sign < 0));
+    }
+    f.mix(d.training_mse);
+    f.mix(d.area_estimate);
+    f.mix(d.predicted_overclock_var);
+  }
+  return f.h;
+}
+
+TEST_F(Algorithm1Test, DesignsDoNotDependOnTheScheduleOrPolicy) {
+  // Every chain is seeded by its job and writes its own candidate slot, so
+  // neither the order the chains run in nor the policy that runs them may
+  // move a bit of the designs. The checksum was captured from a known-good
+  // build and pins configs, coefficients, training MSE, area estimate and
+  // predicted over-clocking variance.
+  constexpr std::uint64_t kGolden = 0x7ec86dd26c77058dull;
+  for (const auto& exec :
+       {ExecPolicy::serial(), ExecPolicy::pooled(),
+        ExecPolicy::pooled(nullptr, ExecChunking{1}), ExecPolicy::pinned()}) {
+    OptimisationFramework of(settings_, x_train_, models_, area_);
+    const std::uint64_t got = design_checksum(of.run(exec));
+    EXPECT_EQ(got, kGolden) << std::hex << "got 0x" << got;
   }
 }
 
