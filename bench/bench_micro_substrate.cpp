@@ -27,7 +27,10 @@
 #include "mult/bitcodec.hpp"
 #include "mult/multiplier.hpp"
 #include "netlist/sta.hpp"
+#include "reference/double_sim.hpp"
 #include "timing/overclock_sim.hpp"
+
+#include "bench_host.hpp"
 
 using namespace oclp;
 
@@ -122,14 +125,15 @@ BENCHMARK(BM_CharacterisationStreamMulti)->Arg(4)->Arg(12)->Arg(32);
 
 // Streaming settle propagation of an 8×8 calibrated multiplier including
 // per-sample threshold capture at a jittered period: the integer-picosecond
-// max-plus kernel (run_stream) against the retained double reference
-// (run_stream_ref) on the *same* sim, so delays and toggle activity are
-// identical and only the kernel differs.
+// max-plus kernel (run_stream) against the double-walk reference stream
+// (one advance per sample) over the same netlist and delays, so toggle
+// activity is identical and only the kernel differs.
 void settle_stream_bench(benchmark::State& state, bool integer_kernel) {
   Device device(reference_device_config(), kReferenceDieSeed);
   Netlist nl = make_multiplier(8, 8);
   auto delays = annotate_timing(nl, device, reference_location_1());
-  OverclockSim sim(std::move(nl), std::move(delays), TimingMode::IntegerExact);
+  const ref::DoubleSim ref_sim(nl, delays);
+  OverclockSim sim(std::move(nl), std::move(delays));
   const std::size_t ni = sim.netlist().num_inputs();
 
   const std::size_t n = 4096;
@@ -150,17 +154,20 @@ void settle_stream_bench(benchmark::State& state, bool integer_kernel) {
   const std::vector<std::uint8_t> zero(ni, 0);
   OverclockSim::State st;
   OverclockSim::SweepStream stream;
+  ref::DoubleSim::State ref_st;
+  ref::DoubleSim::Stream ref_stream;
   std::uint64_t sum = 0;
   for (auto _ : state) {
-    sim.reset(st, zero);
     if (integer_kernel) {
+      sim.reset(st, zero);
       sim.run_stream(st, flat.data(), n, stream);
       for (std::size_t s = 0; s < n; ++s)
         sum += stream.capture_word_ticks(s, pticks[s]);
     } else {
-      sim.run_stream_ref(st, flat.data(), n, stream);
+      ref_sim.reset(ref_st, zero);
+      ref_sim.run_stream(ref_st, flat.data(), n, ref_stream);
       for (std::size_t s = 0; s < n; ++s)
-        sum += stream.capture_word(s, periods[s]);
+        sum += ref_stream.capture_word(s, periods[s]);
     }
   }
   benchmark::DoNotOptimize(sum);
@@ -407,14 +414,15 @@ void write_sweep_probe(const char* path, bool smoke) {
   const double sps_ref = total_samples / dt_ref;
 
   // Settle-kernel section: the integer-picosecond max-plus stream kernel
-  // vs the retained double reference on one calibrated 8×8 multiplier,
+  // vs the double-walk reference stream on one calibrated 8×8 multiplier,
   // per-sample jittered-period captures included. The two paths must agree
   // bit for bit (the PsGrid dequantisation is exact); the speedup is what
-  // the batched projection and sweep paths inherit per settle pass.
+  // the batched projection and sweep paths gain per settle pass over a
+  // per-sample double walk.
   Netlist sk_nl = make_multiplier(8, 8);
   auto sk_delays = annotate_timing(sk_nl, device, reference_location_1());
-  OverclockSim sk_sim(std::move(sk_nl), std::move(sk_delays),
-                      TimingMode::IntegerExact);
+  const ref::DoubleSim sk_ref(sk_nl, sk_delays);
+  OverclockSim sk_sim(std::move(sk_nl), std::move(sk_delays));
   const std::size_t sk_ni = sk_sim.netlist().num_inputs();
   const std::size_t sk_n = smoke ? 4096 : 32768;
   Rng sk_rng(11);
@@ -443,13 +451,15 @@ void write_sweep_probe(const char* path, bool smoke) {
           checksum_int += sk_stream.capture_word_ticks(s, sk_pticks[s]);
       },
       budget_s);
+  ref::DoubleSim::State sk_ref_st;
+  ref::DoubleSim::Stream sk_ref_stream;
   const double dt_double = best_seconds(
       [&] {
         checksum_double = 0;
-        sk_sim.reset(sk_st, sk_zero);
-        sk_sim.run_stream_ref(sk_st, sk_flat.data(), sk_n, sk_stream);
+        sk_ref.reset(sk_ref_st, sk_zero);
+        sk_ref.run_stream(sk_ref_st, sk_flat.data(), sk_n, sk_ref_stream);
         for (std::size_t s = 0; s < sk_n; ++s)
-          checksum_double += sk_stream.capture_word(s, sk_periods[s]);
+          checksum_double += sk_ref_stream.capture_word(s, sk_periods[s]);
       },
       budget_s);
   const double sps_int = static_cast<double>(sk_n) / dt_int;
@@ -461,6 +471,7 @@ void write_sweep_probe(const char* path, bool smoke) {
   os << "{\n"
      << "  \"bench\": \"sweep_throughput\",\n"
      << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
+     << "  \"host\": " << bench::host_json() << ",\n"
      << "  \"wl_m\": 8,\n  \"wl_x\": 8,\n"
      << "  \"freq_points\": " << num_freqs << ",\n"
      << "  \"samples_per_point\": " << xs.size() << ",\n"

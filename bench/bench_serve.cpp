@@ -6,8 +6,10 @@
 //     trade-off under a closed-loop load of identical request streams;
 //  2. batch scaling of the projection kernel itself — samples/sec of the
 //     batched run_stream path (ProjectionCircuit::project_batch) against
-//     the per-sample scalar loop, on the same jittered clock stream, with
-//     a bitwise checksum proving the two paths agree on every output;
+//     the per-sample scalar loop of the double-walk reference
+//     (tests/reference), on the same jittered clock stream, with a bitwise
+//     checksum proving the two paths agree on every output — batch 1 both
+//     slack-gated and forced to run its streams in full;
 //  3. the slack gate — batch-64 samples/sec of project_batch with the
 //     gate on against the same circuit forced to run every multiplier
 //     stream in full (ProjectionCircuit::set_slack_gate), at a clock
@@ -34,8 +36,12 @@
 #include "fabric/timing_annotation.hpp"
 #include "mult/bitcodec.hpp"
 #include "mult/multiplier.hpp"
+#include "reference/double_sim.hpp"
+#include "reference/scalar_projection.hpp"
 #include "serve/server.hpp"
 #include "timing/overclock_sim.hpp"
+
+#include "bench_host.hpp"
 
 using namespace oclp;
 
@@ -129,47 +135,56 @@ struct BatchScaling {
   double scalar_samples_per_sec = 0.0;
   std::vector<BatchScalingPoint> points;
   double batch1_vs_scalar_speedup = 0.0;   ///< at batch size 1
+  /// At batch size 1 with the slack gate off: every stream runs the full
+  /// single-lane walk.
+  double batch1_full_vs_scalar_speedup = 0.0;
   double batched_vs_scalar_speedup = 0.0;  ///< at the largest batch size
   bool checksum_match = true;  ///< batched outputs bitwise equal to scalar
 };
 
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
 // Kernel-level batch scaling: the same jittered request stream pushed
-// through a per-sample project() loop and through project_batch at several
-// batch sizes, each on a fresh circuit with the same clock seed — so the
-// batched path must reproduce the scalar jitter draw order and outputs bit
-// for bit (checked via memcmp on every y vector).
+// through the double-walk reference loop (ref::ScalarProjection, one timed
+// step per multiplier and sample) and through project_batch at several
+// batch sizes, each pass on a fresh projector with the same clock seed — so
+// the batched path must reproduce the reference jitter draw order and
+// outputs bit for bit (checked via memcmp on every y vector). The passes
+// run in rounds, every configuration once per round, and each keeps its
+// best round, so a slow spell of the host does not land on one side only.
 BatchScaling run_batch_scaling(bool smoke) {
   const auto design = serve_design(150.0);
   const Device device = make_device();
   auto plan = simulated_plan(design, reference_location_1());
   plan.with_jitter = true;  // every sample gets its own jittered period
   constexpr std::uint64_t kClockSeed = 42;
+  constexpr int kRounds = 5;
 
   BatchScaling out;
   out.samples = smoke ? 2048 : 16384;
   const auto stream = request_stream(out.samples, 0xBA7C);
 
-  // Scalar baseline: one timed advance/capture per sample.
   std::vector<std::vector<double>> want(out.samples);
-  {
-    ProjectionCircuit scalar(design, device, plan, kWlX, nullptr, kClockSeed);
+  const auto scalar_pass = [&] {
+    ref::ScalarProjection scalar(design, device, plan, kWlX, nullptr,
+                                 kClockSeed);
     std::vector<double> y;
     const auto t0 = std::chrono::steady_clock::now();
     for (std::size_t s = 0; s < out.samples; ++s) {
       scalar.project(stream[s], y);
       want[s] = y;
     }
-    const double dt =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    out.scalar_samples_per_sec = static_cast<double>(out.samples) / dt;
-  }
-
-  for (std::size_t batch : {std::size_t{1}, std::size_t{4}, std::size_t{16},
-                            std::size_t{64}}) {
+    return seconds_since(t0);
+  };
+  const auto batched_pass = [&](std::size_t batch, bool gate) {
     ProjectionCircuit batched(design, device, plan, kWlX, nullptr, kClockSeed);
+    batched.set_slack_gate(gate);
     std::vector<const std::vector<std::uint32_t>*> inputs;
     std::vector<std::vector<double>> ys;
+    bool match = true;
     const auto t0 = std::chrono::steady_clock::now();
     for (std::size_t s0 = 0; s0 < out.samples; s0 += batch) {
       const std::size_t bn = std::min(batch, out.samples - s0);
@@ -177,29 +192,49 @@ BatchScaling run_batch_scaling(bool smoke) {
       for (std::size_t i = 0; i < bn; ++i) inputs.push_back(&stream[s0 + i]);
       batched.project_batch(inputs, ys);
       for (std::size_t i = 0; i < bn; ++i)
-        out.checksum_match =
-            out.checksum_match && ys[i].size() == want[s0 + i].size() &&
-            std::memcmp(ys[i].data(), want[s0 + i].data(),
-                        ys[i].size() * sizeof(double)) == 0;
+        match = match && ys[i].size() == want[s0 + i].size() &&
+                std::memcmp(ys[i].data(), want[s0 + i].data(),
+                            ys[i].size() * sizeof(double)) == 0;
     }
-    const double dt =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+    const double dt = seconds_since(t0);
+    out.checksum_match = out.checksum_match && match;
+    return dt;
+  };
+
+  // (batch, slack gate) per configuration; the last is batch 1 ungated.
+  const std::pair<std::size_t, bool> configs[] = {
+      {1, true}, {4, true}, {16, true}, {64, true}, {1, false}};
+  double scalar_s = 1e300;
+  std::vector<double> best_s(std::size(configs), 1e300);
+  for (int round = 0; round < kRounds; ++round) {
+    scalar_s = std::min(scalar_s, scalar_pass());
+    for (std::size_t c = 0; c < std::size(configs); ++c)
+      best_s[c] = std::min(best_s[c],
+                           batched_pass(configs[c].first, configs[c].second));
+  }
+  out.scalar_samples_per_sec = static_cast<double>(out.samples) / scalar_s;
+  for (std::size_t c = 0; c + 1 < std::size(configs); ++c) {
     BatchScalingPoint p;
-    p.batch = batch;
-    p.samples_per_sec = static_cast<double>(out.samples) / dt;
-    p.speedup = p.samples_per_sec / out.scalar_samples_per_sec;
+    p.batch = configs[c].first;
+    p.samples_per_sec = static_cast<double>(out.samples) / best_s[c];
+    p.speedup = scalar_s / best_s[c];
     out.points.push_back(p);
   }
   out.batch1_vs_scalar_speedup = out.points.front().speedup;
   out.batched_vs_scalar_speedup = out.points.back().speedup;
-  // Batch 1 must never lose to the per-sample loop: project_batch
-  // delegates single-sample batches to project() itself, so anything far
-  // below 1.0 here means that fast path broke (the 0.9 slack only absorbs
-  // timer noise, not a real regression).
+  out.batch1_full_vs_scalar_speedup = scalar_s / best_s.back();
+  // Batch 1 must never lose to the per-sample loop: a single-sample batch
+  // runs its streams inline through the single-lane walk — the reference
+  // loop's per-cell work in integer ticks, or values only when the gate
+  // holds — so anything far below 1.0 here means that path broke (the 0.9
+  // slack only absorbs timer noise, not a real regression).
   OCLP_CHECK_MSG(out.batch1_vs_scalar_speedup >= 0.9,
                  "batch-1 projection regressed to "
                      << out.batch1_vs_scalar_speedup
+                     << "x of the scalar path");
+  OCLP_CHECK_MSG(out.batch1_full_vs_scalar_speedup >= 0.9,
+                 "ungated batch-1 projection regressed to "
+                     << out.batch1_full_vs_scalar_speedup
                      << "x of the scalar path");
   return out;
 }
@@ -213,16 +248,18 @@ struct SettleKernel {
 };
 
 // Settle-kernel section: the integer-picosecond max-plus stream kernel
-// (what project_batch runs per multiplier) against the retained double
-// reference, on one calibrated 8×8 multiplier with per-sample
-// jittered-period captures. Both kernels run on the *same* sim, so delays
-// and toggle activity are identical; the captured words must agree bit for
-// bit (the PsGrid dequantisation is exact).
+// (what project_batch runs per multiplier) against the double-walk
+// reference stream (tests/reference, one advance per sample), on one
+// calibrated 8×8 multiplier with per-sample jittered-period captures. Both
+// run the same netlist and delays, so toggle activity is identical; the
+// captured words must agree bit for bit (the PsGrid dequantisation is
+// exact).
 SettleKernel run_settle_kernel(bool smoke) {
   const Device device = make_device();
   Netlist nl = make_multiplier(8, kWlX);
   auto delays = annotate_timing(nl, device, reference_location_1());
-  OverclockSim sim(std::move(nl), std::move(delays), TimingMode::IntegerExact);
+  const ref::DoubleSim ref_sim(nl, delays);
+  OverclockSim sim(std::move(nl), std::move(delays));
   const std::size_t ni = sim.netlist().num_inputs();
 
   SettleKernel out;
@@ -271,12 +308,14 @@ SettleKernel run_settle_kernel(bool smoke) {
     for (std::size_t s = 0; s < out.samples; ++s)
       checksum_int += stream.capture_word_ticks(s, pticks[s]);
   });
+  ref::DoubleSim::State ref_st;
+  ref::DoubleSim::Stream ref_stream;
   const double dt_double = best_seconds([&] {
     checksum_double = 0;
-    sim.reset(st, zero);
-    sim.run_stream_ref(st, flat.data(), out.samples, stream);
+    ref_sim.reset(ref_st, zero);
+    ref_sim.run_stream(ref_st, flat.data(), out.samples, ref_stream);
     for (std::size_t s = 0; s < out.samples; ++s)
-      checksum_double += stream.capture_word(s, periods[s]);
+      checksum_double += ref_stream.capture_word(s, periods[s]);
   });
   out.int_samples_per_sec = static_cast<double>(out.samples) / dt_int;
   out.double_samples_per_sec = static_cast<double>(out.samples) / dt_double;
@@ -421,16 +460,22 @@ void write_json(const char* path, bool smoke,
   os.precision(10);
   os << "{\n  \"bench\": \"serve\",\n"
      << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-     << "  \"throughput_vs_batch\": [\n";
+     << "  \"host\": " << bench::host_json() << ",\n"
+     << "  \"throughput_vs_batch\": {\n    \"points\": [\n";
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& p = points[i];
-    os << "    {\"max_batch\": " << p.max_batch << ", \"served\": " << p.served
+    os << "      {\"max_batch\": " << p.max_batch << ", \"served\": " << p.served
        << ", \"seconds\": " << p.seconds
        << ", \"requests_per_sec\": " << p.requests_per_sec
        << ", \"mean_batch_size\": " << p.mean_batch_size << "}"
        << (i + 1 < points.size() ? "," : "") << "\n";
   }
-  os << "  ],\n"
+  // End-to-end serving gain of micro-batching: server req/s at the largest
+  // max_batch over max_batch 1.
+  os << "    ],\n"
+     << "    \"server_batch64_vs_batch1\": "
+     << points.back().requests_per_sec / points.front().requests_per_sec
+     << "\n  },\n"
      << "  \"batch_scaling\": {\n"
      << "    \"samples\": " << scaling.samples << ",\n"
      << "    \"scalar_samples_per_sec\": " << scaling.scalar_samples_per_sec
@@ -445,6 +490,8 @@ void write_json(const char* path, bool smoke,
   os << "    ],\n"
      << "    \"batch1_vs_scalar_speedup\": "
      << scaling.batch1_vs_scalar_speedup << ",\n"
+     << "    \"batch1_full_vs_scalar_speedup\": "
+     << scaling.batch1_full_vs_scalar_speedup << ",\n"
      << "    \"batched_vs_scalar_speedup\": "
      << scaling.batched_vs_scalar_speedup << ",\n"
      << "    \"batched_vs_scalar_checksum_match\": "
@@ -504,15 +551,24 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i)
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
 
-  const std::size_t requests = smoke ? 256 : 4096;
+  const std::size_t requests = smoke ? 1024 : 4096;
   std::vector<ThroughputPoint> points;
   for (std::size_t batch : {std::size_t{1}, std::size_t{4}, std::size_t{16},
                             std::size_t{64}}) {
-    points.push_back(throughput_at_batch(batch, requests));
+    // Best of five closed-loop runs: a smoke run lasts milliseconds, well
+    // inside scheduler noise.
+    ThroughputPoint best;
+    for (int rep = 0; rep < 5; ++rep) {
+      const ThroughputPoint p = throughput_at_batch(batch, requests);
+      if (p.requests_per_sec > best.requests_per_sec) best = p;
+    }
+    points.push_back(best);
     std::printf("throughput: max_batch=%-3zu %8.0f req/s (mean batch %.2f)\n",
                 points.back().max_batch, points.back().requests_per_sec,
                 points.back().mean_batch_size);
   }
+  std::printf("throughput: max_batch 64 vs 1 %.2fx\n",
+              points.back().requests_per_sec / points.front().requests_per_sec);
 
   const auto scaling = run_batch_scaling(smoke);
   std::printf("batch scaling: scalar %8.0f samples/s\n",
@@ -520,6 +576,8 @@ int main(int argc, char** argv) {
   for (const auto& p : scaling.points)
     std::printf("batch scaling: batch=%-3zu %8.0f samples/s (%.2fx)\n",
                 p.batch, p.samples_per_sec, p.speedup);
+  std::printf("batch scaling: batch=1 ungated %.2fx\n",
+              scaling.batch1_full_vs_scalar_speedup);
   std::printf("batch scaling: checksum %s\n",
               scaling.checksum_match ? "MATCH" : "MISMATCH");
 

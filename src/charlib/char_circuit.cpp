@@ -26,11 +26,10 @@ std::vector<OverclockSim> make_dut_sims(const CharCircuitConfig& cfg,
                                         const Placement& placement) {
   std::vector<OverclockSim> sims;
   auto lower = [&](Netlist dut) {
+    // Calibrated delays are PsGrid-snapped, so lowering cannot fail short
+    // of a calibration bug.
     std::vector<double> delays = annotate_timing(dut, device, placement);
-    // Calibrated delays are PsGrid-snapped, so the integer settle kernel is
-    // required to lower — an off-grid delay here is a calibration bug.
-    sims.emplace_back(std::move(dut), std::move(delays),
-                      TimingMode::IntegerExact);
+    sims.emplace_back(std::move(dut), std::move(delays));
   };
   if (cfg.mult.arch == MultArch::Ccm) {
     const std::uint32_t count = 1u << cfg.mult.wordlength;
@@ -142,74 +141,14 @@ CharacterisationCircuit::CharacterisationCircuit(const CharCircuitConfig& cfg,
       fmax_mhz(device_critical_path_ns(support, device, support_place));
 }
 
-CharTrace CharacterisationCircuit::run(std::uint32_t m,
-                                       const std::vector<std::uint32_t>& xs,
-                                       double freq_mhz, std::uint64_t jitter_seed) {
-  const int wl_m = cfg_.mult.wordlength;
-  OCLP_CHECK_MSG(m < (1u << wl_m), "multiplicand " << m << " exceeds "
-                                            << wl_m << " bits");
-  // The framework must only measure DUT errors: the DUT clock has to stay
-  // below the supporting-logic limit, and the FSM domain below both.
-  OCLP_CHECK_MSG(freq_mhz < support_fmax_mhz_,
-                 "mult_clk " << freq_mhz << " MHz exceeds supporting-logic Fmax "
-                             << support_fmax_mhz_ << " MHz");
-  OCLP_CHECK_MSG(cfg_.fsm_clock_mhz < support_fmax_mhz_,
-                 "fsm_clk exceeds supporting-logic Fmax");
-
-  ClockGen clock(freq_mhz, cfg_.with_jitter ? device_->config().jitter_sigma_ns : 0.0,
-                 hash_mix(jitter_seed, m, static_cast<std::uint64_t>(freq_mhz * 1e3)));
-
-  CharTrace trace;
-  trace.observed.reserve(xs.size());
-  trace.expected.reserve(xs.size());
-  trace.error.reserve(xs.size());
-
-  // The per-constant CCM cell has no multiplicand bus — m is baked in.
-  OverclockSim& sim = sim_for(m);
-  std::vector<std::uint8_t> in;
-  in.reserve(static_cast<std::size_t>(wl_m + cfg_.wl_x));
-  auto encode = [&](std::uint32_t x) {
-    in.clear();
-    if (!ccm_) append_bits(in, m, wl_m);
-    append_bits(in, x, cfg_.wl_x);
-  };
-
-  encode(0);
-  sim.reset(in);
-
-  std::size_t processed = 0;
-  while (processed < xs.size()) {
-    const std::size_t batch = std::min(cfg_.bram_depth, xs.size() - processed);
-    // FSM bookkeeping: LOAD fills the input BRAM, RUN streams it through
-    // the DUT, DRAIN empties the output BRAM — all in the fsm_clk domain.
-    trace.fsm_cycles += 2 * batch + 4;
-    for (std::size_t i = 0; i < batch; ++i) {
-      const std::uint32_t x = xs[processed + i];
-      OCLP_DCHECK(x < (1u << cfg_.wl_x));
-      encode(x);
-      const auto& out = sim.step(in, clock.next_period_ns());
-      const std::uint64_t obs = from_bits(out);
-      const std::uint64_t exp =
-          static_cast<std::uint64_t>(m) * static_cast<std::uint64_t>(x);
-      trace.observed.push_back(obs);
-      trace.expected.push_back(exp);
-      trace.error.push_back(static_cast<std::int64_t>(obs) -
-                            static_cast<std::int64_t>(exp));
-      if (obs != exp) ++trace.erroneous;
-    }
-    processed += batch;
-  }
-  return trace;
-}
-
-std::vector<CharTrace> CharacterisationCircuit::run_multi(
-    std::uint32_t m, const std::vector<std::uint32_t>& xs,
-    const std::vector<double>& freqs_mhz, std::uint64_t jitter_seed,
-    Workspace* workspace) const {
+void CharacterisationCircuit::check_run(
+    std::uint32_t m, const std::vector<double>& freqs_mhz) const {
   const int wl_m = cfg_.mult.wordlength;
   OCLP_CHECK_MSG(m < (1u << wl_m), "multiplicand " << m << " exceeds "
                                             << wl_m << " bits");
   OCLP_CHECK_MSG(!freqs_mhz.empty(), "run_multi needs at least one frequency");
+  // The framework must only measure DUT errors: the DUT clock has to stay
+  // below the supporting-logic limit, and the FSM domain below both.
   for (double f : freqs_mhz) {
     OCLP_CHECK(f > 0.0);
     OCLP_CHECK_MSG(f < support_fmax_mhz_,
@@ -218,7 +157,90 @@ std::vector<CharTrace> CharacterisationCircuit::run_multi(
   }
   OCLP_CHECK_MSG(cfg_.fsm_clock_mhz < support_fmax_mhz_,
                  "fsm_clk exceeds supporting-logic Fmax");
+}
 
+std::size_t CharacterisationCircuit::fsm_cycles(std::size_t n) const {
+  // LOAD fills the input BRAM, RUN streams it through the DUT, DRAIN
+  // empties the output BRAM — per bram_depth batch, all in fsm_clk.
+  std::size_t cycles = 0;
+  for (std::size_t done = 0; done < n; done += cfg_.bram_depth)
+    cycles += 2 * std::min(cfg_.bram_depth, n - done) + 4;
+  return cycles;
+}
+
+void CharacterisationCircuit::stream_dut(std::uint32_t m,
+                                         const std::vector<std::uint32_t>& xs,
+                                         std::uint64_t min_period_ticks,
+                                         Workspace& ws) const {
+  // The per-constant CCM cell has no multiplicand bus — m is baked in.
+  const OverclockSim& sim = sim_for(m);
+  const std::size_t wlm =
+      ccm_ ? 0 : static_cast<std::size_t>(cfg_.mult.wordlength);
+  std::vector<std::uint8_t> in;
+  if (!ccm_) append_bits(in, m, static_cast<int>(wlm));
+  append_bits(in, 0, cfg_.wl_x);
+  sim.reset(ws.sim, in);
+
+  // Flatten the stream into an input-bit matrix and settle the whole cone
+  // in one batched pass: ws.stream then holds, per edge, the settled
+  // output word plus the (bit, settle) list of outputs that toggled.
+  const std::size_t n = xs.size();
+  const std::size_t nin = in.size();
+  ws.input_bits.resize(n * nin + 8);  // store_bit_bytes' slack
+  for (std::size_t i = 0; i < n; ++i) {
+    OCLP_DCHECK(xs[i] < (1u << cfg_.wl_x));
+    std::uint8_t* row = ws.input_bits.data() + i * nin;
+    store_bit_bytes(row, m, static_cast<int>(wlm));
+    store_bit_bytes(row + wlm, xs[i], cfg_.wl_x);
+  }
+  sim.run_stream(ws.sim, ws.input_bits.data(), n, ws.stream, min_period_ticks);
+}
+
+CharTrace CharacterisationCircuit::run(std::uint32_t m,
+                                       const std::vector<std::uint32_t>& xs,
+                                       double freq_mhz,
+                                       std::uint64_t jitter_seed) const {
+  check_run(m, {freq_mhz});
+  ClockGen clock(freq_mhz, cfg_.with_jitter ? device_->config().jitter_sigma_ns : 0.0,
+                 hash_mix(jitter_seed, m, static_cast<std::uint64_t>(freq_mhz * 1e3)));
+
+  // One jittered period per edge, drawn up front in sample order — the
+  // sequence a clock-by-clock run consumes — and converted once to the
+  // exact tick threshold, so the stream knows its shortest period (the
+  // slack gate) before it runs.
+  const std::size_t n = xs.size();
+  std::vector<std::uint64_t> period_ticks(n);
+  std::uint64_t min_ticks = ~std::uint64_t{0};
+  for (std::size_t i = 0; i < n; ++i) {
+    period_ticks[i] = PsGrid::period_ticks(clock.next_period_ns());
+    min_ticks = std::min(min_ticks, period_ticks[i]);
+  }
+  Workspace ws;
+  stream_dut(m, xs, min_ticks, ws);
+
+  CharTrace trace;
+  trace.fsm_cycles = fsm_cycles(n);
+  trace.observed.resize(n);
+  trace.expected.resize(n);
+  trace.error.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t obs = ws.stream.capture_word_ticks(i, period_ticks[i]);
+    const std::uint64_t exp =
+        static_cast<std::uint64_t>(m) * static_cast<std::uint64_t>(xs[i]);
+    trace.observed[i] = obs;
+    trace.expected[i] = exp;
+    trace.error[i] =
+        static_cast<std::int64_t>(obs) - static_cast<std::int64_t>(exp);
+    trace.erroneous += static_cast<std::size_t>(obs != exp);
+  }
+  return trace;
+}
+
+std::vector<CharTrace> CharacterisationCircuit::run_multi(
+    std::uint32_t m, const std::vector<std::uint32_t>& xs,
+    const std::vector<double>& freqs_mhz, std::uint64_t jitter_seed,
+    Workspace* workspace) const {
+  check_run(m, freqs_mhz);
   const std::size_t nf = freqs_mhz.size();
   std::vector<double> periods(nf);
   for (std::size_t fi = 0; fi < nf; ++fi) periods[fi] = 1000.0 / freqs_mhz[fi];
@@ -240,40 +262,11 @@ std::vector<CharTrace> CharacterisationCircuit::run_multi(
     t.observed.resize(n);
     t.expected.resize(n);
     t.error.resize(n);
-  }
-  // FSM bookkeeping per virtual per-frequency run (see run()): the stream
-  // is loaded/drained through the BRAM in bram_depth batches.
-  std::size_t processed = 0;
-  while (processed < n) {
-    const std::size_t batch = std::min(cfg_.bram_depth, n - processed);
-    for (auto& t : traces) t.fsm_cycles += 2 * batch + 4;
-    processed += batch;
+    t.fsm_cycles = fsm_cycles(n);  // per virtual per-frequency run
   }
 
-  // The per-constant CCM cell has no multiplicand bus — m is baked in.
-  const OverclockSim& sim = sim_for(m);
-  std::vector<std::uint8_t> in;
-  in.reserve(static_cast<std::size_t>(wl_m + cfg_.wl_x));
-  if (!ccm_) append_bits(in, m, wl_m);
-  append_bits(in, 0, cfg_.wl_x);
-  sim.reset(ws.sim, in);
-
-  // Flatten the stream into an input-bit matrix and settle the whole cone
-  // in one batched pass: ws.stream then holds, per edge, the settled
-  // output word plus the (bit, settle) list of outputs that toggled.
-  const std::size_t nin = in.size();
-  const std::size_t wlm = ccm_ ? 0 : static_cast<std::size_t>(wl_m);
-  ws.input_bits.resize(n * nin + 8);  // store_bit_bytes' slack
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t x = xs[i];
-    OCLP_DCHECK(x < (1u << cfg_.wl_x));
-    std::uint8_t* row = ws.input_bits.data() + i * nin;
-    store_bit_bytes(row, m, static_cast<int>(wlm));
-    store_bit_bytes(row + wlm, x, cfg_.wl_x);
-  }
-  // Jitter is drawn up front, in sample order (the same sequence the
-  // capture loop below consumed when it drew inline), so the stream knows
-  // its shortest capture period before it runs: fl(p_min + j_min) bounds
+  // Jitter is drawn up front, in sample order, so the stream knows its
+  // shortest capture period before it runs: fl(p_min + j_min) bounds
   // every fl(p_f + j_i), as rounding is monotone. At or above the DUT's
   // critical path the slack gate skips settle propagation altogether.
   ws.jitter.resize(n);
@@ -290,38 +283,19 @@ std::vector<CharTrace> CharacterisationCircuit::run_multi(
     j_min = std::min(j_min, j);
   }
   const double p_min = *std::min_element(periods.begin(), periods.end());
-  sim.run_stream(ws.sim, ws.input_bits.data(), n, ws.stream,
-                 PsGrid::period_ticks(p_min + j_min));
+  stream_dut(m, xs, PsGrid::period_ticks(p_min + j_min), ws);
 
   // Sampling a frequency is then obs = settled word with the too-late
-  // toggled bits flipped back — bitwise identical to thresholding every
-  // bit, but O(toggled) per frequency instead of O(output width). With an
-  // integer-kernel stream (the production case) the compares run on uint32
-  // ticks against one exact threshold conversion per (sample, frequency) —
-  // the jittered period varies per sample, so it cannot hoist further —
-  // which matches the double rule bitwise (see PsGrid::period_ticks).
-  const std::uint32_t* tbegin = ws.stream.toggle_begin.data();
-  const std::uint8_t* tbit = ws.stream.toggle_bit.data();
-  const bool ticks = ws.stream.has_ticks;
-  const double* tsettle = ws.stream.toggle_settle.data();
-  const std::uint32_t* tsettle_ticks = ws.stream.toggle_settle_ticks.data();
+  // toggled bits flipped back — O(toggled) per frequency instead of
+  // O(output width). The compares run on uint32 ticks against one exact
+  // threshold conversion per (sample, frequency) — the jittered period
+  // varies per sample, so it cannot hoist further.
   for (std::size_t i = 0; i < n; ++i) {
     const double j = ws.jitter[i];
     const std::uint64_t exp =
         static_cast<std::uint64_t>(m) * static_cast<std::uint64_t>(xs[i]);
-    const std::uint64_t settled = ws.stream.settled[i];
     for (std::size_t fi = 0; fi < nf; ++fi) {
-      const double period = periods[fi] + j;
-      std::uint64_t obs = settled;
-      if (ticks) {
-        const std::uint64_t pticks = PsGrid::period_ticks(period);
-        for (std::uint32_t ti = tbegin[i]; ti < tbegin[i + 1]; ++ti)
-          obs ^= static_cast<std::uint64_t>(tsettle_ticks[ti] > pticks)
-                 << tbit[ti];
-      } else {
-        for (std::uint32_t ti = tbegin[i]; ti < tbegin[i + 1]; ++ti)
-          obs ^= static_cast<std::uint64_t>(tsettle[ti] > period) << tbit[ti];
-      }
+      const std::uint64_t obs = ws.stream.capture_word(i, periods[fi] + j);
       CharTrace& t = traces[fi];
       t.observed[i] = obs;
       t.error[i] =

@@ -8,17 +8,18 @@
 // the DUT's error region — the model verifies that invariant instead of
 // assuming it.
 //
-// Characterisation offers two drivers:
-//  * run()       — the per-frequency reference path: a full two-frame
-//                  simulation of the stream at one clock frequency.
+// Characterisation offers two drivers, both one OverclockSim::run_stream
+// pass over the stream:
+//  * run()       — the per-frequency path: the stream clocked at one
+//                  frequency, one PLL-jittered period per edge.
 //  * run_multi() — the single-pass path: settle times are frequency-
 //                  independent (inputs are registered and the previous
 //                  frame is always fully settled), so one pass over the
 //                  stream yields the traces of *all* frequency points by
 //                  threshold-sampling each sample's settle snapshot at
-//                  every period. run_multi() is const and thread-safe over
-//                  caller-owned workspaces, which lets a sweep share one
-//                  circuit per location across all multiplicands.
+//                  every period. Both are const and thread-safe (run_multi
+//                  over caller-owned workspaces), which lets a sweep share
+//                  one circuit per location across all multiplicands.
 #pragma once
 
 #include <cstdint>
@@ -57,9 +58,9 @@ struct CharTrace {
 class CharacterisationCircuit {
  public:
   /// Per-thread scratch state for the const run_multi() path: the sim
-  /// state, the batched stream snapshot, and the flattened input-bit
-  /// matrix. Reusing one workspace across calls keeps the hot path free of
-  /// heap allocation.
+  /// state, the batched stream snapshot, the flattened input-bit matrix
+  /// and the per-sample jitter. Reusing one workspace across calls keeps
+  /// the hot path free of heap allocation.
   struct Workspace {
     OverclockSim::State sim;
     OverclockSim::SweepStream stream;
@@ -88,10 +89,9 @@ class CharacterisationCircuit {
   /// Stream `xs` through the DUT with the multiplicand fixed to `m`,
   /// clocked at `freq_mhz`. Throws if the supporting logic could not keep
   /// up (the framework must never inject errors of its own). This is the
-  /// per-frequency reference path; characterisation sweeps use
-  /// run_multi() instead.
+  /// per-frequency path; characterisation sweeps use run_multi() instead.
   CharTrace run(std::uint32_t m, const std::vector<std::uint32_t>& xs,
-                double freq_mhz, std::uint64_t jitter_seed = 1);
+                double freq_mhz, std::uint64_t jitter_seed = 1) const;
 
   /// Single pass over `xs` yielding one trace per entry of `freqs_mhz`.
   /// PLL jitter (when configured) is drawn once per sample and applied to
@@ -114,7 +114,16 @@ class CharacterisationCircuit {
   const OverclockSim& sim_for(std::uint32_t m) const {
     return ccm_ ? sims_[m] : sims_[0];
   }
-  OverclockSim& sim_for(std::uint32_t m) { return ccm_ ? sims_[m] : sims_[0]; }
+  /// Throws unless `m` fits the multiplicand port and every frequency
+  /// (at least one) stays below the supporting-logic Fmax.
+  void check_run(std::uint32_t m, const std::vector<double>& freqs_mhz) const;
+  /// FSM-domain cycles to load, run and drain `n` samples through the
+  /// stream BRAMs.
+  std::size_t fsm_cycles(std::size_t n) const;
+  /// Reset the DUT for `m` to the all-zero operand and stream `xs` through
+  /// it in one run_stream pass into `ws`, gated at `min_period_ticks`.
+  void stream_dut(std::uint32_t m, const std::vector<std::uint32_t>& xs,
+                  std::uint64_t min_period_ticks, Workspace& ws) const;
 
   CharCircuitConfig cfg_;
   const Device* device_;

@@ -89,12 +89,11 @@ ProjectionCircuit::ProjectionCircuit(const LinearProjectionDesign& design,
                        ? make_ccm_multiplier(col.config,
                                              col.coeffs[pp].magnitude, wl_x)
                        : make_multiplier(col.config, wl_x);
+      // annotate_timing snaps onto the PsGrid, so lowering cannot fail
+      // short of a mis-calibrated delay.
       auto delays = annotate_timing(nl, device, place);
-      // IntegerExact: annotate_timing snaps onto the PsGrid, so the
-      // integer settle kernel must lower — a failure here means a
-      // mis-calibrated delay, not a legitimate fallback.
-      sims_.push_back(std::make_unique<OverclockSim>(
-          std::move(nl), std::move(delays), TimingMode::IntegerExact));
+      sims_.push_back(
+          std::make_unique<OverclockSim>(std::move(nl), std::move(delays)));
     }
   }
   recompute_mean_correction();
@@ -158,56 +157,15 @@ void ProjectionCircuit::set_clock(double freq_mhz, double timing_derate) {
 
 void ProjectionCircuit::project(const std::vector<std::uint32_t>& x_codes,
                                 std::vector<double>& y) {
-  const std::size_t p = dims_p();
-  const std::size_t k = dims_k();
-  OCLP_CHECK(x_codes.size() == p);
-
-  // All multipliers share the mult_clk domain: one jittered period per edge.
-  const double period = clock_.next_period_ns();
-
-  y.assign(k, 0.0);
-  for (std::size_t kk = 0; kk < k; ++kk) {
-    const DesignColumn& col = design_.columns[kk];
-    const bool ccm = column_is_ccm(col);
-    const double scale = std::ldexp(1.0, col.wordlength() + wl_x_);
-    for (std::size_t pp = 0; pp < p; ++pp) {
-      OverclockSim& sim = *sims_[kk * p + pp];
-      in_.clear();
-      if (!ccm) append_bits(in_, col.coeffs[pp].magnitude, col.wordlength());
-      append_bits(in_, x_codes[pp], wl_x_);
-      if (first_sample_) {
-        std::vector<std::uint8_t> init;
-        if (!ccm) append_bits(init, col.coeffs[pp].magnitude, col.wordlength());
-        append_bits(init, 0, wl_x_);
-        sim.reset(init);
-      }
-      const auto out = sim.step(in_, period);
-      const double product = static_cast<double>(from_bits(out));
-      y[kk] += col.coeffs[pp].sign * product / scale;
-    }
-    y[kk] -= mean_correction_[kk];
-  }
-  first_sample_ = false;
+  one_in_.assign(1, &x_codes);
+  project_batch(one_in_, one_out_);
+  y = one_out_[0];
 }
 
 std::vector<double> ProjectionCircuit::project(const std::vector<std::uint32_t>& x_codes) {
   std::vector<double> y;
   project(x_codes, y);
   return y;
-}
-
-void ProjectionCircuit::last_settled_projection(std::vector<double>& y) {
-  const std::size_t p = dims_p();
-  y.assign(dims_k(), 0.0);
-  for (std::size_t kk = 0; kk < dims_k(); ++kk) {
-    const DesignColumn& col = design_.columns[kk];
-    const double inv_scale = std::ldexp(1.0, -(col.wordlength() + wl_x_));
-    for (std::size_t pp = 0; pp < p; ++pp) {
-      sims_[kk * p + pp]->last_settled_outputs(settled_bits_);
-      const double product = static_cast<double>(from_bits(settled_bits_));
-      y[kk] += col.coeffs[pp].sign * product * inv_scale;
-    }
-  }
 }
 
 void ProjectionCircuit::project_batch(
@@ -230,23 +188,10 @@ void ProjectionCircuit::project_batch(
   ys.resize(n);
   if (refs != nullptr) refs->resize(nr);
   if (n == 0) return;
-  if (n == 1) {
-    // A single sample can't amortise the stream machinery (64-lane row
-    // fills, toggle snapshot, chunk fan-out) and the batch path loses to
-    // the scalar one. project() consumes the same single jittered period
-    // this path would draw, so delegating is bitwise identical; its final
-    // settled outputs are the reference.
-    project(*batch[0], ys[0]);
-    if (nr != 0) {
-      last_settled_projection((*refs)[0]);
-      for (std::size_t j = 1; j < nr; ++j) (*refs)[j] = (*refs)[0];
-    }
-    return;
-  }
 
   // All multipliers share the mult_clk domain; one jittered period per
-  // edge, drawn in sample order — the exact draw sequence a project()
-  // loop would consume, so the two paths see identical clocks. The
+  // edge, drawn in sample order — the exact draw sequence a per-sample
+  // loop would consume, so batch boundaries never move a clock. The
   // integer capture threshold ⌊period·2^10⌋ is converted once per sample
   // here instead of once per (multiplier, sample) in the capture loop;
   // the conversion is exact for arbitrary jittered periods (see PsGrid),
@@ -268,20 +213,19 @@ void ProjectionCircuit::project_batch(
   ref_contrib_.resize(kp * nr);
   stream_gated_.resize(kp);
 
-  // Distribute the K·P independent multiplier streams per the policy.
-  // Each chunk owns a reusable workspace; each multiplier's register
-  // state lives in its sim, so the chunk → multiplier mapping never
-  // affects results and the reduction below is a fixed-order serial sum.
-  batch_ws_.ensure(exec_.num_chunks(kp));
-  exec_.for_chunks(0, kp, [&](std::size_t m0, std::size_t m1,
-                              std::size_t chunk) {
+  // Each chunk of the K·P independent multiplier streams owns a reusable
+  // workspace; each multiplier's register state lives in its sim, so the
+  // chunk → multiplier mapping never affects results and the reduction
+  // below is a fixed-order serial sum.
+  const auto run_chunk = [&](std::size_t m0, std::size_t m1,
+                             std::size_t chunk) {
     BatchWorkspace& ws = batch_ws_.at(chunk);
     for (std::size_t m = m0; m < m1; ++m) {
       const std::size_t kk = m / p, pp = m % p;
       const DesignColumn& col = design_.columns[kk];
       const bool ccm = column_is_ccm(col);
-      // 1/2^(wl + wl_x) is exact, so the multiply matches project()'s
-      // division bit for bit.
+      // 1/2^(wl + wl_x) is exact, so the multiply matches a division by
+      // the scale bit for bit.
       const double inv_scale = std::ldexp(1.0, -(col.wordlength() + wl_x_));
       const int sign = col.coeffs[pp].sign;
       OverclockSim& sim = *sims_[m];
@@ -310,27 +254,19 @@ void ProjectionCircuit::project_batch(
       sim.run_stream(ws.inputs.data(), n, ws.stream, gate_ticks);
       stream_gated_[m] = ws.stream.gated;
 
-      // Per-sample signed, scaled product — the exact expression project()
-      // accumulates, evaluated per multiplier into an SoA slab. A gated
-      // stream captures its settled words; otherwise integer capture when
-      // the sim lowered integer (IntegerExact above, so always in
-      // practice): unsigned tick compares against the pre-converted
+      // Per-sample signed, scaled product, evaluated per multiplier into an
+      // SoA slab. A gated stream captures its settled words; a full one
+      // captures through unsigned tick compares against the pre-converted
       // thresholds.
       const std::uint64_t* settled = ws.stream.settled.data();
       double* c = contrib_.data() + m * n;
       if (ws.stream.gated) {
         for (std::size_t s = 0; s < n; ++s)
           c[s] = sign * static_cast<double>(settled[s]) * inv_scale;
-      } else if (sim.integer_kernel()) {
+      } else {
         for (std::size_t s = 0; s < n; ++s) {
           const double product = static_cast<double>(
               ws.stream.capture_word_ticks(s, periods_ticks_[s]));
-          c[s] = sign * product * inv_scale;
-        }
-      } else {
-        for (std::size_t s = 0; s < n; ++s) {
-          const double product =
-              static_cast<double>(ws.stream.capture_word(s, periods_[s]));
           c[s] = sign * product * inv_scale;
         }
       }
@@ -339,14 +275,23 @@ void ProjectionCircuit::project_batch(
       for (std::size_t j = 0; j < nr; ++j)
         rc[j] = sign * static_cast<double>(settled[(*ref_rows)[j]]) * inv_scale;
     }
-  });
+  };
+  // A single sample has nothing to amortise a fan-out over: its streams
+  // run inline. Larger batches distribute them per the policy.
+  if (n == 1) {
+    batch_ws_.ensure(1);
+    run_chunk(0, kp, 0);
+  } else {
+    batch_ws_.ensure(exec_.num_chunks(kp));
+    exec_.for_chunks(0, kp, run_chunk);
+  }
   first_sample_ = false;
   for (std::size_t m = 0; m < kp; ++m)
     ++(stream_gated_[m] ? streams_.gated : streams_.full);
 
-  // Serial reduction in project()'s accumulation order (pp ascending per
+  // Serial reduction in a fixed accumulation order (pp ascending per
   // output dimension, correction last): floating-point addition order is
-  // what makes the batch bitwise-identical to the sequential loop.
+  // what makes a batch bitwise-identical to the same samples one by one.
   for (std::size_t s = 0; s < n; ++s) {
     ys[s].resize(k);
     for (std::size_t kk = 0; kk < k; ++kk) {
@@ -454,8 +399,8 @@ double evaluate_hardware_mse(const LinearProjectionDesign& design,
   ProjectionCircuit circuit(design, device, plan, wl_x, models, clock_seed);
 
   // Stream the whole evaluation set through the batched run_stream kernel
-  // in one call — same y vectors as a per-sample project() loop, without
-  // the per-sample timed-interpreter tax.
+  // in one call — same y vectors as a per-sample project() loop, with the
+  // 64-lane kernel's amortisation.
   const std::size_t n = x.cols();
   std::vector<std::vector<std::uint32_t>> codes(n);
   std::vector<const std::vector<std::uint32_t>*> batch(n);

@@ -60,8 +60,9 @@ class ProjectionCircuit {
   std::size_t dims_p() const { return design_.dims_p(); }
   std::size_t dims_k() const { return design_.dims_k(); }
 
-  /// One clocked sample through all K·P multipliers. The out-param
-  /// overload reuses the caller's buffer (no allocation once warm).
+  /// One clocked sample through all K·P multipliers: project_batch of
+  /// one. The out-param overload reuses the caller's buffer (no allocation
+  /// once warm).
   void project(const std::vector<std::uint32_t>& x_codes, std::vector<double>& y);
   std::vector<double> project(const std::vector<std::uint32_t>& x_codes);
 
@@ -70,18 +71,18 @@ class ProjectionCircuit {
   /// eval + integer-picosecond sparse settle propagation), then capture
   /// each sample at its own jittered period — pre-converted once to PsGrid
   /// ticks — via the O(toggled) branch-poor unsigned-compare sampling
-  /// rule. Bitwise identical to calling project() once per sample in
+  /// rule. Bitwise identical to projecting the samples one at a time in
   /// order — including the per-sample ClockGen jitter draw order (same
   /// clock_seed ⇒ same clocks) and the sign/mean-correction accumulation
   /// order — and freely interleavable with project()/set_clock() (the
   /// multiplier register state carries across). The K·P per-multiplier
-  /// streams are distributed per the circuit's ExecPolicy (default:
-  /// pinned, one chunk per worker) with per-chunk reusable workspaces in
-  /// a stable-address arena; no steady-state allocation beyond `ys`.
-  /// Single-sample batches delegate to the scalar project() path, which
-  /// beats the stream machinery at n = 1 and draws the identical period.
-  /// `ys` is resized to batch.size() rows of K entries; rows keep their
-  /// capacity across calls.
+  /// streams of a batch of n >= 2 are distributed per the circuit's
+  /// ExecPolicy (default: pinned, one chunk per worker) with per-chunk
+  /// reusable workspaces in a stable-address arena; a single-sample batch
+  /// runs them inline on the calling thread through run_stream's
+  /// single-lane walk. No steady-state allocation beyond `ys`, which is
+  /// resized to batch.size() rows of K entries; rows keep their capacity
+  /// across calls.
   ///
   /// Slack gate: each multiplier stream is handed the batch's shortest
   /// jittered period, so a multiplier whose structural critical path fits
@@ -98,9 +99,8 @@ class ProjectionCircuit {
                      const std::vector<std::size_t>* ref_rows = nullptr,
                      std::vector<std::vector<double>>* refs = nullptr);
 
-  /// Multiplier streams project_batch ran slack-gated vs in full, since
-  /// construction. Single-sample batches take the scalar path and count
-  /// in neither.
+  /// Multiplier streams project_batch (and so project()) ran slack-gated
+  /// vs in full, since construction.
   struct StreamCounts {
     std::uint64_t gated = 0;
     std::uint64_t full = 0;
@@ -165,10 +165,6 @@ class ProjectionCircuit {
     std::vector<std::uint8_t> inputs;  ///< n × num_inputs row-major bits
   };
 
-  /// Settled projection of the sample the last project() clocked, read off
-  /// every multiplier's final settled outputs (the n == 1 fused reference).
-  void last_settled_projection(std::vector<double>& y);
-
   /// The architecture is per-column: a CCM column's sims bake the
   /// coefficient into the netlist (only the x port remains an input, and a
   /// coefficient change requires a full re-lower), while its neighbour
@@ -188,7 +184,8 @@ class ProjectionCircuit {
   int retargets_ = 0;
   ClockGen clock_;
   bool first_sample_ = true;
-  std::vector<std::uint8_t> in_;            ///< project() scratch, reused
+  std::vector<const std::vector<std::uint32_t>*> one_in_;  ///< project() batch of one
+  std::vector<std::vector<double>> one_out_;               ///< its output row
   std::vector<std::uint64_t> lane_words_;   ///< project_settled() scratch
   // project_batch scratch, reused across batches.
   std::vector<double> periods_;             ///< per-sample jittered periods
@@ -196,7 +193,6 @@ class ProjectionCircuit {
   std::vector<double> contrib_;             ///< K·P × n per-multiplier terms
   std::vector<double> ref_contrib_;         ///< K·P × refs settled terms
   std::vector<std::uint8_t> stream_gated_;  ///< per multiplier, last batch
-  std::vector<std::uint8_t> settled_bits_;  ///< last_settled_projection scratch
   StreamCounts streams_;
   bool slack_gate_ = true;
   ChunkArena<BatchWorkspace> batch_ws_;     ///< one stable slot per chunk

@@ -93,11 +93,6 @@ Matrix multiply(const Matrix& a, const Matrix& b, const ExecPolicy& exec);
 /// `pool` (equivalent to ExecPolicy::pooled(pool)).
 Matrix multiply(const Matrix& a, const Matrix& b, ThreadPool* pool);
 
-/// Textbook i-j-k (dot-product order) multiplication. Slower and with a
-/// different rounding order than `operator*`; kept as the golden reference
-/// the cache-friendly and pooled paths are tested against.
-Matrix multiply_naive(const Matrix& a, const Matrix& b);
-
 /// mean_square of (x − basis·f) fused into one pass: reconstructs one row
 /// at a time and accumulates the squared residual without materialising
 /// either P×N temporary. Bitwise identical to

@@ -274,29 +274,6 @@ std::vector<double> CompiledNetlist::gather_delays(
   return d;
 }
 
-namespace {
-
-// Worst-case levelized path sum of tick counts: the largest settle time
-// the integer kernel can ever produce (every fanin toggles, every cell on
-// the longest chain toggles). Computed in uint64 so the uint32 bound can
-// be *checked* rather than assumed.
-std::uint64_t critical_path_ticks_of(const CompiledNetlist& c,
-                                     const std::vector<std::uint32_t>& ticks) {
-  std::vector<std::uint64_t> arrive(c.num_nets(), 0);
-  std::uint64_t worst = 0;
-  const std::size_t base = 2 + c.num_inputs();
-  for (std::size_t ci = 0; ci < c.num_cells(); ++ci) {
-    std::uint64_t launch = arrive[static_cast<std::size_t>(c.fanin(ci, 0))];
-    launch = std::max(launch, arrive[static_cast<std::size_t>(c.fanin(ci, 1))]);
-    launch = std::max(launch, arrive[static_cast<std::size_t>(c.fanin(ci, 2))]);
-    arrive[base + ci] = launch + ticks[ci];
-    worst = std::max(worst, arrive[base + ci]);
-  }
-  return worst;
-}
-
-}  // namespace
-
 std::vector<std::uint32_t> CompiledNetlist::quantise_delays(
     const std::vector<double>& cell_delay_ns,
     std::uint64_t* critical_path_ticks) const {
@@ -310,26 +287,26 @@ std::vector<std::uint32_t> CompiledNetlist::quantise_delays(
                                     << " ns) is not an exact multiple of the 2^-"
                                     << PsGrid::kFracBits
                                     << " ns grid fitting uint32 ticks");
-  const std::uint64_t worst = critical_path_ticks_of(*this, ticks);
+  // Worst-case levelized path sum of tick counts: the largest settle time
+  // the integer kernel can ever produce (every fanin toggles, every cell on
+  // the longest chain toggles). Computed in uint64 so the uint32 bound can
+  // be *checked* rather than assumed.
+  std::vector<std::uint64_t> arrive(num_nets(), 0);
+  std::uint64_t worst = 0;
+  const std::size_t base = 2 + num_inputs_;
+  for (std::size_t ci = 0; ci < num_cells(); ++ci) {
+    const std::int32_t* f = &fanin_[3 * ci];
+    const std::uint64_t launch =
+        std::max({arrive[f[0]], arrive[f[1]], arrive[f[2]]});
+    arrive[base + ci] = launch + ticks[ci];
+    worst = std::max(worst, arrive[base + ci]);
+  }
   OCLP_CHECK_MSG(worst <= std::numeric_limits<std::uint32_t>::max(),
                  "worst-case settle path (" << worst
                                             << " ticks) overflows the uint32 "
                                                "integer-picosecond kernel");
   if (critical_path_ticks != nullptr) *critical_path_ticks = worst;
   return ticks;
-}
-
-bool CompiledNetlist::try_quantise_delays(
-    const std::vector<double>& cell_delay_ns, std::vector<std::uint32_t>& ticks,
-    std::uint64_t* critical_path_ticks) const {
-  if (cell_delay_ns.size() != num_cells()) return false;
-  ticks.resize(num_cells());
-  for (std::size_t ci = 0; ci < num_cells(); ++ci)
-    if (!PsGrid::try_ticks(cell_delay_ns[ci], ticks[ci])) return false;
-  const std::uint64_t worst = critical_path_ticks_of(*this, ticks);
-  if (worst > std::numeric_limits<std::uint32_t>::max()) return false;
-  if (critical_path_ticks != nullptr) *critical_path_ticks = worst;
-  return true;
 }
 
 void CompiledNetlist::eval(std::vector<std::uint8_t>& vals) const {

@@ -36,8 +36,8 @@
 // net, one lane per sample. It computes fully-settled (functional) values
 // only, so it is legal exclusively on timing-free paths: ground-truth /
 // settled outputs, error-model reference values, and safe-clock duplicate
-// checks. Anything that needs per-net settle times must use the scalar
-// two-frame simulation (OverclockSim).
+// checks. Anything that needs per-net settle times must use the timed
+// simulation (OverclockSim).
 #pragma once
 
 #include <cstdint>
@@ -52,13 +52,14 @@ namespace oclp {
 /// The quantum is 2^-10 ns (a "binary picosecond", ~0.977 ps): delays and
 /// settle times become uint32 tick counts and settle propagation becomes
 /// small-integer max-plus arithmetic. The power-of-two quantum is what
-/// keeps the retained double kernels bitwise-comparable:
+/// keeps the double-precision model (the tests' reference walk)
+/// bitwise-comparable:
 ///
 ///  * to_ns is exact — ldexp(ticks, -10) scales by a power of two, and
 ///    every tick count below 2^32 has an exact double;
 ///  * sums and maxes of grid delays are exact in doubles as long as the
 ///    running sum stays below 2^53 ticks (the uint32 overflow check below
-///    enforces < 2^32, with room to spare), so the double reference path
+///    enforces < 2^32, with room to spare), so a double settle walk
 ///    computes *exactly* tick·2^-10 at every net — integer-vs-double
 ///    equality is a theorem, not a tolerance;
 ///  * capture periods need no quantisation: settle > period on the grid
@@ -185,13 +186,6 @@ class CompiledNetlist {
   std::vector<std::uint32_t> quantise_delays(
       const std::vector<double>& cell_delay_ns,
       std::uint64_t* critical_path_ticks = nullptr) const;
-
-  /// Tolerant probe of the same conditions: fills `ticks` and returns
-  /// true iff quantise_delays would succeed. Lets auto-mode consumers fall
-  /// back to the double kernel for non-calibrated (off-grid) delays.
-  bool try_quantise_delays(const std::vector<double>& cell_delay_ns,
-                           std::vector<std::uint32_t>& ticks,
-                           std::uint64_t* critical_path_ticks = nullptr) const;
 
   // --- Evaluation -----------------------------------------------------------
 

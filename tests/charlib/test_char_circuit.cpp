@@ -4,7 +4,10 @@
 
 #include "charlib/sweep.hpp"
 #include "fabric/calibration.hpp"
+#include "fabric/timing_annotation.hpp"
+#include "mult/bitcodec.hpp"
 #include "netlist/sta.hpp"
+#include "reference/double_sim.hpp"
 
 namespace oclp {
 namespace {
@@ -127,6 +130,16 @@ TEST_F(CharCircuitTest, RunMultiMatchesRunPerFrequencyJitterFree) {
 
   const auto multi = circuit.run_multi(17, xs, freqs, 5);
   ASSERT_EQ(multi.size(), freqs.size());
+  // Both drivers run the one integer kernel; the double walk of
+  // tests/reference, stepped at each nominal period, is the independent
+  // witness.
+  ref::DoubleSim walk(circuit.dut(), annotate_timing(circuit.dut(), device_,
+                                                     reference_location_1()));
+  const auto bits = [](std::uint32_t x) {
+    auto b = to_bits(17, 6);
+    append_bits(b, x, 6);
+    return b;
+  };
   for (std::size_t fi = 0; fi < freqs.size(); ++fi) {
     const auto ref = circuit.run(17, xs, freqs[fi], 5);
     EXPECT_EQ(multi[fi].observed, ref.observed) << "f=" << freqs[fi];
@@ -134,6 +147,11 @@ TEST_F(CharCircuitTest, RunMultiMatchesRunPerFrequencyJitterFree) {
     EXPECT_EQ(multi[fi].error, ref.error);
     EXPECT_EQ(multi[fi].erroneous, ref.erroneous);
     EXPECT_EQ(multi[fi].fsm_cycles, ref.fsm_cycles);
+    walk.reset(bits(0));
+    for (std::size_t i = 0; i < xs.size(); ++i)
+      ASSERT_EQ(from_bits(walk.step(bits(xs[i]), 1000.0 / freqs[fi])),
+                ref.observed[i])
+          << "f=" << freqs[fi] << " sample " << i;
   }
   // The grid has to span both regimes for the comparison to mean anything.
   EXPECT_EQ(multi[0].erroneous, 0u);

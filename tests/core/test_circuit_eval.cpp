@@ -11,6 +11,7 @@
 #include "core/synthetic.hpp"
 #include "fabric/calibration.hpp"
 #include "klt/klt.hpp"
+#include "reference/scalar_projection.hpp"
 
 namespace oclp {
 namespace {
@@ -135,11 +136,11 @@ TEST_F(CircuitEvalTest, JitterOffIsDeterministic) {
   EXPECT_DOUBLE_EQ(a, b);  // clock seed only matters through jitter
 }
 
-// Golden property: project_batch must be bitwise-identical to a sequential
-// project() loop — same jittered clock draws (same clock_seed), same
-// accumulation order — for every batch size, including the partial-chunk
-// tails around the 64-lane eval64 boundary, and across a mid-stream
-// set_clock retarget with an environment derate.
+// Golden property: project_batch must be bitwise-identical to the scalar
+// double-walk loop — same jittered clock draws (same clock_seed), same
+// accumulation order — for every batch size, from the single-lane walk to
+// the partial-chunk tails around the 64-lane eval64 boundary, and across a
+// mid-stream set_clock retarget with an environment derate.
 TEST_F(CircuitEvalTest, ProjectBatchBitwiseMatchesSequentialProject) {
   const auto d = design(8, 420.0);  // deep in the error-prone regime
   const auto plan = simulated_plan(d, reference_location_1());  // jitter ON
@@ -153,8 +154,8 @@ TEST_F(CircuitEvalTest, ProjectBatchBitwiseMatchesSequentialProject) {
   }
   const std::size_t retarget_at = 65;  // mid-stream clock retarget + derate
 
-  // Sequential reference: one project() per sample.
-  ProjectionCircuit seq(d, device_, plan, 9, nullptr, /*clock_seed=*/7);
+  // Sequential reference: one double-walk step per multiplier and sample.
+  ref::ScalarProjection seq(d, device_, plan, 9, nullptr, /*clock_seed=*/7);
   std::vector<std::vector<double>> want(stream.size());
   for (std::size_t s = 0; s < stream.size(); ++s) {
     if (s == retarget_at) seq.set_clock(300.0, 1.18);
@@ -194,7 +195,7 @@ TEST_F(CircuitEvalTest, ProjectBatchBitwiseMatchesSequentialProject) {
   }
 }
 
-// Batched and sequential paths may also interleave on one circuit: the
+// project() and project_batch may also interleave on one circuit: the
 // multiplier register state and the jitter stream carry across.
 TEST_F(CircuitEvalTest, ProjectBatchInterleavesWithProject) {
   const auto d = design(7, 400.0);
@@ -208,7 +209,7 @@ TEST_F(CircuitEvalTest, ProjectBatchInterleavesWithProject) {
     for (auto& c : codes) c = static_cast<std::uint32_t>(rng.uniform_u64(512));
   }
 
-  ProjectionCircuit seq(d, device_, plan, 9, nullptr, 11);
+  ref::ScalarProjection seq(d, device_, plan, 9, nullptr, 11);
   ProjectionCircuit mix(d, device_, plan, 9, nullptr, 11);
   std::vector<std::vector<double>> want(stream.size());
   for (std::size_t s = 0; s < stream.size(); ++s) seq.project(stream[s], want[s]);
@@ -269,8 +270,8 @@ TEST_F(CircuitEvalTest, ProjectBatchJitterIsSeedDeterministic) {
 
 // Fused references: the settled rows project_batch returns from its own
 // stream pass must equal project_settled() bit for bit, for every column
-// architecture (array, Wallace, CCM, pipelined), batch sizes around the
-// scalar detour and the 64-lane chunk edges, and empty / full / sparse
+// architecture (array, Wallace, CCM, pipelined), batch sizes from the
+// single-lane walk to the 64-lane chunk edges, and empty / full / sparse
 // (unordered, repeated) row selections — at a gated clock and at an
 // over-clocked one. Asking for references must not perturb the outputs.
 TEST_F(CircuitEvalTest, ProjectBatchFusedReferencesMatchProjectSettled) {
@@ -338,7 +339,7 @@ TEST_F(CircuitEvalTest, ProjectBatchFusedReferencesMatchProjectSettled) {
 // A circuit whose clock crosses the slack-gate bound between batches, via
 // set_clock with and without derate: gated and full streams alternate on
 // the same multipliers (register state carried across), and every output
-// must match the scalar project() loop and a circuit with the gate off.
+// must match the scalar double-walk loop and a circuit with the gate off.
 TEST_F(CircuitEvalTest, ProjectBatchSlackGateCrossesTheBoundWithSetClock) {
   const auto d = design(5, 150.0);
   const auto plan = simulated_plan(d, reference_location_1());  // jitter ON
@@ -356,7 +357,7 @@ TEST_F(CircuitEvalTest, ProjectBatchSlackGateCrossesTheBoundWithSetClock) {
       {150.0, 1.0}, {420.0, 1.0}, {150.0, 1.18},
       {250.0, 1.6}, {200.0, 1.0}, {420.0, 1.0}};
 
-  ProjectionCircuit seq(d, device_, plan, 9, nullptr, 13);
+  ref::ScalarProjection seq(d, device_, plan, 9, nullptr, 13);
   ProjectionCircuit gated(d, device_, plan, 9, nullptr, 13);
   ProjectionCircuit full(d, device_, plan, 9, nullptr, 13);
   full.set_slack_gate(false);

@@ -7,6 +7,7 @@
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "reference/multiply_naive.hpp"
 
 namespace oclp {
 namespace {
@@ -199,7 +200,7 @@ TEST(Multiply, NaiveGoldenReferenceAgrees) {
   const Matrix a = random_matrix(8, 12, 17);
   const Matrix b = random_matrix(12, 6, 19);
   const Matrix fast = a * b;
-  const Matrix naive = multiply_naive(a, b);
+  const Matrix naive = ref::multiply_naive(a, b);
   for (std::size_t i = 0; i < fast.rows(); ++i)
     for (std::size_t j = 0; j < fast.cols(); ++j)
       EXPECT_NEAR(fast(i, j), naive(i, j), 1e-12 * std::abs(naive(i, j)) + 1e-14);
@@ -208,7 +209,7 @@ TEST(Multiply, NaiveGoldenReferenceAgrees) {
 TEST(Multiply, ShapeMismatchThrows) {
   ThreadPool pool(2);
   EXPECT_THROW(multiply(Matrix(2, 3), Matrix(2, 3), &pool), CheckError);
-  EXPECT_THROW(multiply_naive(Matrix(2, 3), Matrix(2, 3)), CheckError);
+  EXPECT_THROW(ref::multiply_naive(Matrix(2, 3), Matrix(2, 3)), CheckError);
 }
 
 TEST(ReconstructionMse, MatchesExpressionBitwise) {

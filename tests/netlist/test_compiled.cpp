@@ -16,6 +16,7 @@
 #include "fabric/timing_annotation.hpp"
 #include "mult/multiplier.hpp"
 #include "netlist/netlist.hpp"
+#include "reference/double_sim.hpp"
 #include "timing/overclock_sim.hpp"
 
 namespace oclp {
@@ -78,19 +79,28 @@ TEST(CompiledNetlist, BufChainsFeedingOutputsKeepSettleExact) {
   EXPECT_EQ(cnl.out_net(0), cnl.input_net(0));
   EXPECT_EQ(cnl.out_net(1), cnl.cell_net(0));
 
-  // Buffers are annotated with (ignored) nonzero delays on purpose: the
-  // chain must contribute exactly zero to the settle profile.
-  std::vector<double> delays(nl.num_cells(), 123.0);
-  delays[static_cast<std::size_t>(g) - nl.num_inputs()] = 0.3;
-  OverclockSim sim(nl, delays);
-  OverclockSim::State st;
-  sim.reset(st, {0});
-  sim.advance(st, {1});
+  // Buffers are annotated with (ignored) nonzero, off-grid delays on
+  // purpose: the chain must contribute exactly zero to the settle profile,
+  // and lowering must not even look at them.
+  const double d = PsGrid::snap_ns(0.3);
+  std::vector<double> delays(nl.num_cells(), 123.4);
+  delays[static_cast<std::size_t>(g) - nl.num_inputs()] = d;
+  const ref::DoubleSim ref(nl, delays);
+  ref::DoubleSim::State st;
+  ref.reset(st, {0});
+  ref.advance(st, {1});
   EXPECT_EQ(st.out_next, (std::vector<std::uint8_t>{1, 0}));
   EXPECT_EQ(st.out_prev, (std::vector<std::uint8_t>{0, 1}));
   EXPECT_EQ(st.out_settle[0], 0.0);  // registered input through Bufs
-  EXPECT_EQ(st.out_settle[1], 0.3);  // exactly the Not's delay
-  EXPECT_EQ(st.last_output_settle_ns, 0.3);
+  EXPECT_EQ(st.out_settle[1], d);    // exactly the Not's delay
+  EXPECT_EQ(st.last_output_settle_ns, d);
+
+  OverclockSim sim(nl, delays);
+  sim.reset({0});
+  EXPECT_EQ(sim.step({1}, d), (std::vector<std::uint8_t>{1, 0}));
+  EXPECT_EQ(sim.last_output_settle_ns(), d);
+  // Just below the Not's delay only the buffered input is fresh.
+  EXPECT_EQ(sim.resample_last(d - 1e-6), (std::vector<std::uint8_t>{1, 1}));
 }
 
 TEST(CompiledNetlist, DeadCellsWithSideFaninAreSweptOnlyWhenRequested) {
@@ -238,17 +248,17 @@ TEST(CompiledNetlist, QuantiseDelaysRejectsOffGridNamingTheCell) {
     EXPECT_NE(msg.find("delay of cell 1"), std::string::npos) << msg;
     EXPECT_NE(msg.find("grid"), std::string::npos) << msg;
   }
-  std::vector<std::uint32_t> ticks;
-  EXPECT_FALSE(cnl.try_quantise_delays(cnl.gather_delays(delays), ticks));
-
-  // The same contract one layer up: IntegerExact throws, Auto falls back
-  // to the double kernel, DoubleRef never lowers.
-  EXPECT_THROW(OverclockSim(nl, delays, TimingMode::IntegerExact), CheckError);
-  EXPECT_FALSE(OverclockSim(nl, delays, TimingMode::Auto).integer_kernel());
+  // The same contract one layer up: every OverclockSim lowers onto the
+  // grid, so an off-grid delay fails construction, naming the cell.
+  try {
+    OverclockSim sim(nl, delays);
+    FAIL() << "off-grid delay must be rejected by the sim";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("delay of cell 1"), std::string::npos)
+        << e.what();
+  }
   const std::vector<double> exact{0.5, 0.25};
-  EXPECT_TRUE(OverclockSim(nl, exact, TimingMode::Auto).integer_kernel());
-  EXPECT_TRUE(OverclockSim(nl, exact, TimingMode::IntegerExact).integer_kernel());
-  EXPECT_FALSE(OverclockSim(nl, exact, TimingMode::DoubleRef).integer_kernel());
+  EXPECT_EQ(OverclockSim(nl, exact).critical_path_ticks(), 768u);
 }
 
 TEST(CompiledNetlist, QuantiseDelaysRejectsWorstCasePathOverflow) {
@@ -271,9 +281,7 @@ TEST(CompiledNetlist, QuantiseDelaysRejectsWorstCasePathOverflow) {
     EXPECT_NE(std::string(e.what()).find("overflows"), std::string::npos)
         << e.what();
   }
-  std::vector<std::uint32_t> ticks;
-  EXPECT_FALSE(cnl.try_quantise_delays(cnl.gather_delays(delays), ticks));
-  EXPECT_FALSE(OverclockSim(nl, delays, TimingMode::Auto).integer_kernel());
+  EXPECT_THROW(OverclockSim(nl, delays), CheckError);
 
   // Halving one link brings the path back under the range.
   const std::vector<double> fits{half_range_ns, PsGrid::to_ns((1u << 31) - 1)};

@@ -9,6 +9,7 @@
 #include "netlist/compiled.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/sta.hpp"
+#include "reference/double_sim.hpp"
 #include "timing/overclock_sim.hpp"
 
 namespace oclp {
@@ -38,6 +39,14 @@ Netlist random_netlist(std::size_t n_in, std::size_t n_cells, std::size_t n_out,
     nb.mark_output(static_cast<std::int32_t>(
         rng.uniform_u64(n_in + n_cells)));
   return nb.build();
+}
+
+// Snap the delayed cells' delays onto the PsGrid (the only delays an
+// OverclockSim lowers); free cells keep theirs, which lowering ignores.
+void snap_delays(const Netlist& nl, std::vector<double>& delays) {
+  for (std::size_t i = 0; i < nl.num_cells(); ++i)
+    if (!cell_is_free(nl.cells()[i].type))
+      delays[i] = PsGrid::snap_ns(delays[i]);
 }
 
 std::vector<std::uint8_t> random_inputs(std::size_t n, Rng& rng) {
@@ -89,6 +98,7 @@ TEST_P(RandomNetlist, OverclockAtCriticalPathMatchesFunctionalModel) {
   std::vector<double> delays(nl.num_cells(), 0.0);
   for (std::size_t i = 0; i < nl.num_cells(); ++i)
     if (!cell_is_free(nl.cells()[i].type)) delays[i] = rng.uniform(0.05, 0.9);
+  snap_delays(nl, delays);
   const double critical =
       std::max(static_timing(nl, delays).critical_path_ns, 1e-6);
   const Netlist reference = nl;  // evaluate() on a pristine copy
@@ -108,6 +118,7 @@ TEST_P(RandomNetlist, SettleTimesNeverExceedSta) {
   std::vector<double> delays(nl.num_cells(), 0.0);
   for (std::size_t i = 0; i < nl.num_cells(); ++i)
     if (!cell_is_free(nl.cells()[i].type)) delays[i] = rng.uniform(0.05, 0.9);
+  snap_delays(nl, delays);
   const double critical = static_timing(nl, delays).critical_path_ns;
   OverclockSim sim(std::move(nl), std::move(delays));
   sim.reset(random_inputs(6, rng));
@@ -148,10 +159,9 @@ Netlist random_netlist_full(std::size_t n_in, std::size_t n_cells,
 }
 
 // Cell-at-a-time interpretation of the over-clocking timing model over the
-// original netlist — the pre-lowering OverclockSim evaluation, kept here
-// as the golden model the compiled kernel must match bit for bit (values
-// AND settle times; free cells contribute no delay regardless of their
-// annotation).
+// original netlist — the pre-lowering evaluation, kept here as the golden
+// model the compiled walks must match bit for bit (values AND settle times;
+// free cells contribute no delay regardless of their annotation).
 struct InterpretedSim {
   const Netlist& nl;
   std::vector<double> delay;
@@ -221,36 +231,46 @@ struct InterpretedSim {
 TEST_P(RandomNetlist, CompiledSimMatchesInterpretedGolden) {
   Rng rng(GetParam() + 400);
   const Netlist nl = random_netlist_full(7, 80, 10, rng);
-  // Free cells get random (ignored) delays on purpose: the lowering must
-  // not let them leak into the settle profile.
+  // Free cells get random (ignored, off-grid) delays on purpose: the
+  // lowering must not let them leak into the settle profile.
   std::vector<double> delays(nl.num_cells());
   for (auto& d : delays) d = rng.uniform(0.05, 0.9);
+  snap_delays(nl, delays);
 
+  // Both compiled walks against the interpreter: the double walk's
+  // per-edge snapshot, and the integer kernel's step() captures.
   InterpretedSim ref(nl, delays);
+  const ref::DoubleSim dsim(nl, delays);
   OverclockSim sim(nl, delays);
-  OverclockSim::State st;
+  ref::DoubleSim::State st;
 
   const auto first = random_inputs(7, rng);
   ref.reset(first);
-  sim.reset(st, first);
+  dsim.reset(st, first);
+  sim.reset(first);
   double max_settle = 1.0;
   for (int step = 0; step < 60; ++step) {
     const auto in = random_inputs(7, rng);
     ref.advance(in);
-    sim.advance(st, in);
+    dsim.advance(st, in);
+    sim.step(in, 1.0);
     ASSERT_EQ(st.out_next, ref.out_next) << "seed " << GetParam() << " step " << step;
     ASSERT_EQ(st.out_prev, ref.out_prev) << "seed " << GetParam() << " step " << step;
     ASSERT_EQ(st.out_settle, ref.out_settle)
         << "seed " << GetParam() << " step " << step;
     ASSERT_EQ(st.last_output_settle_ns, ref.worst);
+    ASSERT_EQ(sim.last_output_settle_ns(), ref.worst);
     max_settle = std::max(max_settle, ref.worst);
     // Bitwise-identical captures at random periods straddling the settle
     // profile (including periods shorter than every transition).
     std::vector<std::uint8_t> got;
     for (int s = 0; s < 4; ++s) {
       const double period = rng.uniform(1e-3, max_settle + 0.2);
-      sim.capture(st, period, got);
-      ASSERT_EQ(got, ref.capture(period))
+      const auto want = ref.capture(period);
+      dsim.capture(st, period, got);
+      ASSERT_EQ(got, want)
+          << "seed " << GetParam() << " step " << step << " period " << period;
+      ASSERT_EQ(sim.resample_last(period), want)
           << "seed " << GetParam() << " step " << step << " period " << period;
     }
   }
@@ -261,6 +281,8 @@ TEST_P(RandomNetlist, RunStreamMatchesPerEdgeAdvance) {
   const Netlist nl = random_netlist_full(6, 90, 9, rng);
   std::vector<double> delays(nl.num_cells());
   for (auto& d : delays) d = rng.uniform(0.05, 0.9);
+  snap_delays(nl, delays);
+  const ref::DoubleSim dsim(nl, delays);
   OverclockSim sim(nl, delays);
 
   // An awkward stream length on purpose: full chunks plus a partial tail.
@@ -272,16 +294,16 @@ TEST_P(RandomNetlist, RunStreamMatchesPerEdgeAdvance) {
     std::copy(in.begin(), in.end(), flat.begin() + static_cast<std::ptrdiff_t>(s * 6));
   }
 
-  // Golden: one advance() per edge, snapshotting the per-edge output word
-  // and the (bit, settle) pairs of the outputs that toggled.
-  OverclockSim::State ref;
-  sim.reset(ref, first);
+  // Golden: one double-walk advance() per edge, snapshotting the per-edge
+  // output word and the (bit, settle) pairs of the outputs that toggled.
+  ref::DoubleSim::State ref;
+  dsim.reset(ref, first);
   std::vector<std::uint64_t> want_settled(n);
   std::vector<std::vector<std::pair<std::size_t, double>>> want_tog(n);
   std::vector<std::uint8_t> in(6);
   for (std::size_t s = 0; s < n; ++s) {
     std::copy_n(flat.begin() + static_cast<std::ptrdiff_t>(s * 6), 6, in.begin());
-    sim.advance(ref, in);
+    dsim.advance(ref, in);
     for (std::size_t k = 0; k < ref.out_next.size(); ++k) {
       want_settled[s] |= static_cast<std::uint64_t>(ref.out_next[k]) << k;
       if (ref.out_prev[k] != ref.out_next[k])
@@ -304,16 +326,13 @@ TEST_P(RandomNetlist, RunStreamMatchesPerEdgeAdvance) {
       const std::size_t ti = stream.toggle_begin[s] + t;
       ASSERT_EQ(stream.toggle_bit[ti], want_tog[s][t].first);
       // Settle times must be bitwise identical, not just close.
-      ASSERT_EQ(stream.toggle_settle[ti], want_tog[s][t].second)
+      ASSERT_EQ(PsGrid::to_ns(stream.toggle_settle_ticks[ti]),
+                want_tog[s][t].second)
           << "seed " << GetParam() << " sample " << s << " toggle " << t;
     }
   }
-  // After the stream, `st` must look like n advance() calls.
+  // After the stream, `st` must hold the values n advance() calls left.
   ASSERT_EQ(st.prev, ref.prev);
-  ASSERT_EQ(st.out_next, ref.out_next);
-  ASSERT_EQ(st.out_prev, ref.out_prev);
-  ASSERT_EQ(st.out_settle, ref.out_settle);
-  ASSERT_EQ(st.last_output_settle_ns, ref.last_output_settle_ns);
 }
 
 TEST_P(RandomNetlist, Eval64LanesMatchScalarEvaluation) {

@@ -1,7 +1,7 @@
 // Random circuits for the timing property tests: arbitrary DAGs over the
 // whole cell library (optionally with pipeline registers), grid-snapped
-// delays so TimingMode::Auto lowers onto the integer kernel, and random
-// row-major input streams.
+// delays (OverclockSim lowers only grid-exact ones), and random row-major
+// input streams.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +43,7 @@ inline Netlist random_netlist(std::size_t n_in, std::size_t n_cells,
   return nb.build();
 }
 
-// Grid-snapped random delays, so TimingMode::Auto lowers integer.
+// Grid-snapped random delays.
 inline std::vector<double> grid_delays(const Netlist& nl, Rng& rng) {
   std::vector<double> delays(nl.num_cells(), 0.0);
   for (std::size_t i = 0; i < nl.num_cells(); ++i)

@@ -1,8 +1,8 @@
 // Property tests for the lane-parallel dense row fills: every dispatchable
 // ISA variant (scalar / AVX2 / AVX-512), forced through the dense path,
-// the sparse path, and the adaptive crossover, must reproduce the retained
-// double reference bitwise on arbitrary circuits — settled words, toggle
-// layout, settle ticks — including partial 64-lane tails and the
+// the sparse path, and the adaptive crossover, must reproduce the
+// double-walk reference bitwise on arbitrary circuits — settled words,
+// toggle layout, settle ticks — including partial 64-lane tails and the
 // all-lanes-toggle / zero-toggle extremes.
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include "common/rng.hpp"
 #include "netlist/compiled.hpp"
 #include "netlist/netlist.hpp"
+#include "reference/double_sim.hpp"
 #include "timing/lane_kernels.hpp"
 #include "timing/overclock_sim.hpp"
 
@@ -22,18 +23,20 @@ namespace oclp {
 namespace {
 
 // Run `inputs` through `sim` with the given kernels/cutoff and require the
-// stream (and post-stream state) to be bitwise identical to the double
-// reference.
-void expect_matches_reference(OverclockSim& sim,
+// stream (and post-stream register values) to be bitwise identical to the
+// double-walk reference.
+void expect_matches_reference(OverclockSim& sim, const ref::DoubleSim& ref,
                               const std::vector<std::uint8_t>& init,
                               const std::vector<std::uint8_t>& inputs,
                               std::size_t n, const std::string& what) {
-  OverclockSim::State ist, dst;
+  OverclockSim::State ist;
+  ref::DoubleSim::State dst;
   sim.reset(ist, init);
-  sim.reset(dst, init);
-  OverclockSim::SweepStream istream, dstream;
+  ref.reset(dst, init);
+  OverclockSim::SweepStream istream;
+  ref::DoubleSim::Stream dstream;
   sim.run_stream(ist, inputs.data(), n, istream);
-  sim.run_stream_ref(dst, inputs.data(), n, dstream);
+  ref.run_stream(dst, inputs.data(), n, dstream);
 
   ASSERT_EQ(istream.settled, dstream.settled) << what;
   ASSERT_EQ(istream.toggle_begin, dstream.toggle_begin) << what;
@@ -44,9 +47,7 @@ void expect_matches_reference(OverclockSim& sim,
     ASSERT_EQ(PsGrid::to_ns(istream.toggle_settle_ticks[t]),
               dstream.toggle_settle[t])
         << what << " toggle " << t;
-  ASSERT_EQ(ist.out_settle, dst.out_settle) << what;
-  ASSERT_EQ(ist.out_prev, dst.out_prev) << what;
-  ASSERT_EQ(ist.out_next, dst.out_next) << what;
+  ASSERT_EQ(ist.prev, dst.prev) << what;
 }
 
 class LaneKernelSeeds : public ::testing::TestWithParam<int> {};
@@ -56,8 +57,8 @@ TEST_P(LaneKernelSeeds, EveryIsaAndCrossoverMatchesReference) {
   for (const bool with_regs : {false, true}) {
     Netlist nl = random_netlist(6, 64, 10, with_regs, rng);
     const auto delays = grid_delays(nl, rng);
-    OverclockSim sim(std::move(nl), delays, TimingMode::Auto);
-    ASSERT_TRUE(sim.integer_kernel());
+    const ref::DoubleSim ref(nl, delays);
+    OverclockSim sim(std::move(nl), delays);
 
     std::vector<std::uint8_t> init(sim.netlist().num_inputs());
     for (auto& b : init) b = static_cast<std::uint8_t>(rng.uniform_u64(2));
@@ -78,7 +79,7 @@ TEST_P(LaneKernelSeeds, EveryIsaAndCrossoverMatchesReference) {
           k.dense_cutoff = cutoff;
           sim.set_lane_kernels(k);
           expect_matches_reference(
-              sim, init, inputs, n,
+              sim, ref, init, inputs, n,
               std::string(variants[v].isa) + " cutoff " +
                   std::to_string(cutoff) + " n " + std::to_string(n) +
                   (with_regs ? " regs" : ""));
@@ -99,8 +100,8 @@ TEST_P(LaneKernelSeeds, ToggleDensityExtremesMatchReference) {
   for (const bool with_regs : {false, true}) {
     Netlist nl = random_netlist(5, 48, 8, with_regs, rng);
     const auto delays = grid_delays(nl, rng);
-    OverclockSim sim(std::move(nl), delays, TimingMode::Auto);
-    ASSERT_TRUE(sim.integer_kernel());
+    const ref::DoubleSim ref(nl, delays);
+    OverclockSim sim(std::move(nl), delays);
 
     const std::size_t nin = sim.netlist().num_inputs();
     std::vector<std::uint8_t> init(nin, 0);
@@ -123,9 +124,10 @@ TEST_P(LaneKernelSeeds, ToggleDensityExtremesMatchReference) {
         const std::string tag = std::string(variants[v].isa) + " cutoff " +
                                 std::to_string(cutoff) +
                                 (with_regs ? " regs" : "");
-        expect_matches_reference(sim, init, alternating, n,
+        expect_matches_reference(sim, ref, init, alternating, n,
                                  tag + " all-toggle");
-        expect_matches_reference(sim, init, constant, n, tag + " zero-toggle");
+        expect_matches_reference(sim, ref, init, constant, n,
+                                 tag + " zero-toggle");
       }
     }
     sim.set_lane_kernels(lane::dense_kernels());

@@ -6,17 +6,33 @@
 #include "mult/bitcodec.hpp"
 #include "mult/multiplier.hpp"
 #include "netlist/sta.hpp"
+#include "reference/double_sim.hpp"
 
 namespace oclp {
 namespace {
 
+// Per-cell delays of a wa×wb multiplier: `cell_delay` snapped onto the
+// PsGrid for every delayed cell.
+std::vector<double> uniform_delays(const Netlist& nl, double cell_delay) {
+  std::vector<double> delays(nl.num_cells(), 0.0);
+  for (std::size_t i = 0; i < nl.num_cells(); ++i)
+    if (!cell_is_free(nl.cells()[i].type))
+      delays[i] = PsGrid::snap_ns(cell_delay);
+  return delays;
+}
+
 // A sim over a wa×wb multiplier with uniform per-cell delay.
 OverclockSim make_sim(int wa, int wb, double cell_delay) {
   Netlist nl = make_multiplier(wa, wb);
-  std::vector<double> delays(nl.num_cells(), 0.0);
-  for (std::size_t i = 0; i < nl.num_cells(); ++i)
-    if (!cell_is_free(nl.cells()[i].type)) delays[i] = cell_delay;
+  auto delays = uniform_delays(nl, cell_delay);
   return OverclockSim(std::move(nl), std::move(delays));
+}
+
+// The double-walk reference over the same multiplier and delays.
+ref::DoubleSim make_ref(int wa, int wb, double cell_delay) {
+  Netlist nl = make_multiplier(wa, wb);
+  auto delays = uniform_delays(nl, cell_delay);
+  return ref::DoubleSim(std::move(nl), std::move(delays));
 }
 
 std::vector<std::uint8_t> mult_inputs(unsigned a, int wa, unsigned b, int wb) {
@@ -43,9 +59,7 @@ TEST(OverclockSim, SlowClockMatchesFunctionalModel) {
 
 TEST(OverclockSim, PeriodAtCriticalPathIsErrorFree) {
   Netlist nl = make_multiplier(5, 5);
-  std::vector<double> delays(nl.num_cells(), 0.0);
-  for (std::size_t i = 0; i < nl.num_cells(); ++i)
-    if (!cell_is_free(nl.cells()[i].type)) delays[i] = 0.7;
+  auto delays = uniform_delays(nl, 0.7);
   const double critical = static_timing(nl, delays).critical_path_ns;
   OverclockSim sim(std::move(nl), std::move(delays));
   Rng rng(5);
@@ -150,46 +164,54 @@ TEST(OverclockSim, DataDependence_SparseMultiplicandFailsLess) {
 }
 
 TEST(OverclockSim, ExternalStateMatchesConvenienceApi) {
-  // The const advance()/capture() path over a caller-owned State must
-  // reproduce step() exactly — it is the engine under the single-pass
-  // multi-frequency characterisation.
+  // The double walk's const advance()/capture() over a caller-owned State
+  // must reproduce the integer kernel's step() exactly — the grid theorem
+  // (DESIGN.md §9) witnessed one edge at a time.
   auto sim = make_sim(6, 6, 0.5);
-  auto shadow = make_sim(6, 6, 0.5);
-  OverclockSim::State st;
+  const auto ref = make_ref(6, 6, 0.5);
+  ref::DoubleSim::State st;
   Rng rng(17);
-  sim.reset(st, mult_inputs(0, 6, 0, 6));
-  shadow.reset(mult_inputs(0, 6, 0, 6));
+  ref.reset(st, mult_inputs(0, 6, 0, 6));
+  sim.reset(mult_inputs(0, 6, 0, 6));
   std::vector<std::uint8_t> captured;
   for (int i = 0; i < 200; ++i) {
     const unsigned a = rng.uniform_u64(64), b = rng.uniform_u64(64);
     const double period = 1.0 + 0.05 * (i % 40);
-    sim.advance(st, mult_inputs(a, 6, b, 6));
-    sim.capture(st, period, captured);
-    const auto& ref = shadow.step(mult_inputs(a, 6, b, 6), period);
-    ASSERT_EQ(captured, ref) << "i=" << i;
-    ASSERT_DOUBLE_EQ(st.last_output_settle_ns, shadow.last_output_settle_ns());
+    ref.advance(st, mult_inputs(a, 6, b, 6));
+    ref.capture(st, period, captured);
+    const auto& got = sim.step(mult_inputs(a, 6, b, 6), period);
+    ASSERT_EQ(captured, got) << "i=" << i;
+    ASSERT_EQ(st.last_output_settle_ns, sim.last_output_settle_ns());
   }
 }
 
 TEST(OverclockSim, OneAdvanceManyCaptures) {
-  // A single advance supports captures at any number of periods: tiny
+  // A single edge supports captures at any number of periods: tiny
   // period → previous frame, huge period → fully settled frame, and the
-  // fresh-bit set grows with the period.
+  // fresh-bit set grows with the period — on the one-sample stream and on
+  // the double walk alike.
   auto sim = make_sim(8, 8, 0.4);
+  const auto ref = make_ref(8, 8, 0.4);
   OverclockSim::State st;
+  OverclockSim::SweepStream stream;
   sim.reset(st, mult_inputs(201, 8, 187, 8));
-  sim.advance(st, mult_inputs(44, 8, 99, 8));
+  const auto next = mult_inputs(44, 8, 99, 8);
+  sim.run_stream(st, next.data(), 1, stream);
+  ref::DoubleSim::State rst;
+  ref.reset(rst, mult_inputs(201, 8, 187, 8));
+  ref.advance(rst, next);
   std::vector<std::uint8_t> out;
-  sim.capture(st, 1e-9, out);
-  EXPECT_EQ(from_bits(out), 201u * 187u);  // nothing settled: stale frame
-  sim.capture(st, 1e9, out);
-  EXPECT_EQ(from_bits(out), 44u * 99u);  // everything settled
+  EXPECT_EQ(stream.capture_word(0, 1e-9), 201u * 187u);  // stale frame
+  ref.capture(rst, 1e-9, out);
+  EXPECT_EQ(from_bits(out), 201u * 187u);
+  EXPECT_EQ(stream.capture_word(0, 1e9), 44u * 99u);  // everything settled
   int prev_fresh = -1;
   for (double period : {0.5, 1.0, 2.0, 4.0, 8.0, 16.0}) {
-    sim.capture(st, period, out);
+    ref.capture(rst, period, out);
+    ASSERT_EQ(stream.capture_word(0, period), from_bits(out)) << period;
     int fresh = 0;
-    for (std::size_t k = 0; k < st.out_settle.size(); ++k)
-      if (st.out_settle[k] <= period) ++fresh;
+    for (std::size_t k = 0; k < rst.out_settle.size(); ++k)
+      if (rst.out_settle[k] <= period) ++fresh;
     EXPECT_GE(fresh, prev_fresh);
     prev_fresh = fresh;
   }
@@ -198,9 +220,14 @@ TEST(OverclockSim, OneAdvanceManyCaptures) {
 TEST(OverclockSim, ExternalStateBeforeResetThrows) {
   auto sim = make_sim(4, 4, 1.0);
   OverclockSim::State st;
-  EXPECT_THROW(sim.advance(st, mult_inputs(1, 4, 1, 4)), CheckError);
+  OverclockSim::SweepStream stream;
+  const auto in = mult_inputs(1, 4, 1, 4);
+  EXPECT_THROW(sim.run_stream(st, in.data(), 1, stream), CheckError);
+  const auto ref = make_ref(4, 4, 1.0);
+  ref::DoubleSim::State rst;
+  EXPECT_THROW(ref.advance(rst, in), CheckError);
   std::vector<std::uint8_t> out;
-  EXPECT_THROW(sim.capture(st, 1.0, out), CheckError);
+  EXPECT_THROW(ref.capture(rst, 1.0, out), CheckError);
 }
 
 TEST(OverclockSim, StepBufferReuseKeepsResultsIndependent) {
@@ -276,17 +303,15 @@ TEST(OverclockSim, RunStreamEmptyStreamLeavesStateUntouched) {
   EXPECT_EQ(stream.toggle_begin[0], 0u);
   EXPECT_TRUE(stream.toggle_bit.empty());
   EXPECT_EQ(st.prev, prev_snapshot);
-  EXPECT_FALSE(st.stepped);
   EXPECT_TRUE(st.initialised);
 
   // The untouched state continues exactly like a sim that never saw the
   // empty stream.
   auto shadow = make_sim(4, 4, 1.0);
   shadow.reset(mult_inputs(3, 4, 5, 4));
-  std::vector<std::uint8_t> captured;
-  sim.advance(st, mult_inputs(7, 4, 9, 4));
-  sim.capture(st, 2.5, captured);
-  EXPECT_EQ(captured, shadow.step(mult_inputs(7, 4, 9, 4), 2.5));
+  const auto next = mult_inputs(7, 4, 9, 4);
+  sim.run_stream(st, next.data(), 1, stream);
+  EXPECT_EQ(stream.capture_word(0, 2.5), from_bits(shadow.step(next, 2.5)));
 }
 
 TEST(OverclockSim, DelaySizeMismatchThrows) {
@@ -300,9 +325,9 @@ TEST(OverclockSim, InvalidPeriodThrows) {
   EXPECT_THROW(sim.step(mult_inputs(1, 3, 1, 3), 0.0), CheckError);
 }
 
-// --- Integer-picosecond kernel vs the retained double reference ----------
+// --- Integer-picosecond kernel vs the double-walk reference --------------
 
-// Random per-cell delays snapped onto the PsGrid, so Auto lowers integer.
+// Random per-cell delays snapped onto the PsGrid.
 std::vector<double> grid_delays(const Netlist& nl, Rng& rng) {
   std::vector<double> delays(nl.num_cells(), 0.0);
   for (std::size_t i = 0; i < nl.num_cells(); ++i)
@@ -320,61 +345,52 @@ std::vector<std::uint8_t> random_stream(std::size_t n, int wa, int wb, Rng& rng)
 }
 
 TEST(OverclockSim, IntegerKernelMatchesDoubleReferenceBitwise) {
-  // The tentpole exactness theorem, end to end: with grid-exact delays the
-  // integer run_stream and the retained double reference must agree on
-  // every recorded value — settled words, toggle layout, settle-time
-  // doubles (exact tick dequantisation), post-stream state, and captures
-  // at arbitrary jittered periods including exact ties. Batch sizes cover
-  // a lone sample, both sides of the 64-lane chunk boundary, and a
+  // The exactness theorem, end to end: with grid-exact delays the integer
+  // run_stream and the double walk must agree on every recorded value —
+  // settled words, toggle layout, settle times (exact tick
+  // dequantisation), post-stream register values, and captures at
+  // arbitrary jittered periods including exact ties. Batch sizes cover the
+  // single-lane walk, both sides of the 64-lane chunk boundary, and a
   // multi-chunk stream with a partial tail.
   Rng rng(2014);
   const int wa = 5, wb = 5;
   Netlist nl = make_multiplier(wa, wb);
   const auto delays = grid_delays(nl, rng);
-  OverclockSim sim(std::move(nl), delays, TimingMode::Auto);
-  ASSERT_TRUE(sim.integer_kernel());
+  const ref::DoubleSim ref(nl, delays);
+  OverclockSim sim(std::move(nl), delays);
   ASSERT_GT(sim.critical_path_ticks(), 0u);
 
   for (std::size_t n : {std::size_t{1}, std::size_t{63}, std::size_t{64},
                         std::size_t{65}, std::size_t{197}}) {
     const auto inputs = random_stream(n, wa, wb, rng);
-    OverclockSim::State ist, dst;
+    OverclockSim::State ist;
+    ref::DoubleSim::State dst;
     const auto init = mult_inputs(3, wa, 1, wb);
     sim.reset(ist, init);
-    sim.reset(dst, init);
-    OverclockSim::SweepStream istream, dstream;
+    ref.reset(dst, init);
+    OverclockSim::SweepStream istream;
+    ref::DoubleSim::Stream dstream;
     sim.run_stream(ist, inputs.data(), n, istream);
-    sim.run_stream_ref(dst, inputs.data(), n, dstream);
+    ref.run_stream(dst, inputs.data(), n, dstream);
 
     ASSERT_EQ(istream.settled, dstream.settled) << "n=" << n;
     ASSERT_EQ(istream.toggle_begin, dstream.toggle_begin) << "n=" << n;
     ASSERT_EQ(istream.toggle_bit, dstream.toggle_bit) << "n=" << n;
-    // Integer streams carry ticks only, reference streams ns only; each
-    // tick dequantises exactly onto the reference double.
-    EXPECT_TRUE(istream.has_ticks);
-    EXPECT_FALSE(dstream.has_ticks);
-    EXPECT_TRUE(istream.toggle_settle.empty());
-    EXPECT_TRUE(dstream.toggle_settle_ticks.empty());
+    // Each tick dequantises exactly onto the reference double.
     ASSERT_EQ(istream.toggle_settle_ticks.size(), dstream.toggle_settle.size());
-    for (std::size_t t = 0; t < dstream.toggle_settle.size(); ++t) {
+    for (std::size_t t = 0; t < dstream.toggle_settle.size(); ++t)
       ASSERT_EQ(PsGrid::to_ns(istream.toggle_settle_ticks[t]),
                 dstream.toggle_settle[t]);
-      ASSERT_EQ(istream.toggle_settle_ns(t), dstream.toggle_settle_ns(t));
-    }
+    ASSERT_EQ(ist.prev, dst.prev) << "n=" << n;
 
-    // Post-stream observable state is identical (advance/capture interop).
-    ASSERT_EQ(ist.out_settle, dst.out_settle) << "n=" << n;
-    ASSERT_EQ(ist.out_prev, dst.out_prev) << "n=" << n;
-    ASSERT_EQ(ist.out_next, dst.out_next) << "n=" << n;
-    ASSERT_EQ(ist.last_output_settle_ns, dst.last_output_settle_ns);
-
-    // Captures: double rule vs pre-converted tick thresholds at arbitrary
-    // (non-grid) periods, plus forced exact ties.
+    // Captures: the double rule vs pre-converted tick thresholds at
+    // arbitrary (non-grid) periods, plus forced exact ties.
     for (std::size_t s = 0; s < n; ++s) {
       for (int trial = 0; trial < 8; ++trial) {
         double period = rng.uniform(0.1, 8.0);
-        if (trial == 0 && istream.toggle_begin[s] < istream.toggle_begin[s + 1])
-          period = istream.toggle_settle_ns(istream.toggle_begin[s]);  // tie
+        const std::uint32_t t0 = istream.toggle_begin[s];
+        if (trial == 0 && t0 < istream.toggle_begin[s + 1])
+          period = PsGrid::to_ns(istream.toggle_settle_ticks[t0]);  // tie
         const auto want = dstream.capture_word(s, period);
         ASSERT_EQ(istream.capture_word(s, period), want);
         ASSERT_EQ(istream.capture_word_ticks(s, PsGrid::period_ticks(period)),
@@ -387,23 +403,24 @@ TEST(OverclockSim, IntegerKernelMatchesDoubleReferenceBitwise) {
 
 TEST(OverclockSim, IntegerKernelInteroperatesWithStepAndResample) {
   // A streamed prefix followed by step()/resample_last must behave exactly
-  // like the all-double sim: the stream leaves identical register state.
+  // like the double walk stepped through the same inputs: the stream
+  // leaves identical register values behind.
   Rng rng(55);
   const int wa = 4, wb = 4;
   Netlist nl = make_multiplier(wa, wb);
   const auto delays = grid_delays(nl, rng);
-  Netlist nl2 = nl;
-  OverclockSim isim(std::move(nl), delays, TimingMode::IntegerExact);
-  OverclockSim dsim(std::move(nl2), delays, TimingMode::DoubleRef);
-  ASSERT_TRUE(isim.integer_kernel());
-  ASSERT_FALSE(dsim.integer_kernel());
+  ref::DoubleSim dsim(nl, delays);
+  OverclockSim isim(std::move(nl), delays);
 
   const auto inputs = random_stream(70, wa, wb, rng);
-  OverclockSim::SweepStream is, ds;
+  OverclockSim::SweepStream is;
   isim.reset(mult_inputs(0, wa, 0, wb));
   dsim.reset(mult_inputs(0, wa, 0, wb));
   isim.run_stream(inputs.data(), 70, is);
-  dsim.run_stream(inputs.data(), 70, ds);
+  for (std::size_t s = 0; s < 70; ++s)
+    dsim.step(std::vector<std::uint8_t>(inputs.begin() + s * (wa + wb),
+                                        inputs.begin() + (s + 1) * (wa + wb)),
+              1.0);
   for (int i = 0; i < 30; ++i) {
     const unsigned a = rng.uniform_u64(16), b = rng.uniform_u64(16);
     const double period = rng.uniform(0.3, 6.0);

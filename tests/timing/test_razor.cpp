@@ -14,7 +14,8 @@ RazorSim make_razor(int wl, double cell_delay, RazorConfig cfg) {
   Netlist nl = make_multiplier(wl, wl);
   std::vector<double> delays(nl.num_cells(), 0.0);
   for (std::size_t i = 0; i < nl.num_cells(); ++i)
-    if (!cell_is_free(nl.cells()[i].type)) delays[i] = cell_delay;
+    if (!cell_is_free(nl.cells()[i].type))
+      delays[i] = PsGrid::snap_ns(cell_delay);
   return RazorSim(std::move(nl), std::move(delays), cfg);
 }
 
@@ -157,7 +158,7 @@ TEST(Razor, ConfigValidation) {
   RazorConfig bad;
   bad.shadow_margin_ns = 0.0;
   Netlist nl = make_multiplier(3, 3);
-  std::vector<double> delays(nl.num_cells(), 0.1);
+  std::vector<double> delays(nl.num_cells(), PsGrid::snap_ns(0.1));
   EXPECT_THROW(RazorSim(std::move(nl), std::move(delays), bad), CheckError);
 }
 
@@ -165,7 +166,7 @@ TEST(OverclockSim, ResampleLastMatchesStepSemantics) {
   Netlist nl = make_multiplier(6, 6);
   std::vector<double> delays(nl.num_cells(), 0.0);
   for (std::size_t i = 0; i < nl.num_cells(); ++i)
-    if (!cell_is_free(nl.cells()[i].type)) delays[i] = 0.4;
+    if (!cell_is_free(nl.cells()[i].type)) delays[i] = PsGrid::snap_ns(0.4);
   OverclockSim sim(std::move(nl), std::move(delays));
   sim.reset(mult_in(0, 0, 6));
   Rng rng(5);
@@ -182,11 +183,22 @@ TEST(OverclockSim, ResampleLastMatchesStepSemantics) {
 
 TEST(OverclockSim, ResampleBeforeStepThrows) {
   Netlist nl = make_multiplier(3, 3);
-  std::vector<double> delays(nl.num_cells(), 0.1);
+  std::vector<double> delays(nl.num_cells(), PsGrid::snap_ns(0.1));
   OverclockSim sim(std::move(nl), std::move(delays));
   EXPECT_THROW(sim.resample_last(1.0), CheckError);
   sim.reset(mult_in(0, 0, 3));
   EXPECT_THROW(sim.last_settled_outputs(), CheckError);
+  EXPECT_THROW(sim.last_output_settle_ns(), CheckError);
+  // The accessors read the last step()'s stream: a bare run_stream is not
+  // a step, so they keep throwing after it...
+  const auto in = mult_in(5, 3, 3);
+  OverclockSim::SweepStream stream;
+  sim.run_stream(in.data(), 1, stream);
+  EXPECT_THROW(sim.resample_last(1.0), CheckError);
+  EXPECT_THROW(sim.last_settled_outputs(), CheckError);
+  // ...until the next step().
+  sim.step(in, 100.0);
+  EXPECT_EQ(from_bits(sim.last_settled_outputs()), 15u);
 }
 
 }  // namespace

@@ -8,6 +8,10 @@ bench JSON:
   * every ``*_checksum_match`` field anywhere in the document must be true
     (a correctness regression, which outranks any speedup).
 
+A failed floor is printed with the file's ``host`` object (lane-kernel ISA,
+hardware threads, compiler, build type) when the bench recorded one, so a
+slow runner is told apart from a slow kernel.
+
 Usage:
     check_perf_floors.py --floors bench/perf_floors.json --dir build
 
@@ -71,8 +75,11 @@ def main():
             if value is None:
                 failures.append(f"{bench_name}: {dotted} absent from the JSON")
             elif not isinstance(value, (int, float)) or value < floor:
+                host = doc.get("host")
+                on_host = f" (host {json.dumps(host)})" if host else ""
                 failures.append(
                     f"{bench_name}: {dotted} = {value} below floor {floor}"
+                    f"{on_host}"
                 )
             else:
                 checked += 1
