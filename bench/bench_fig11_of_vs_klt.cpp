@@ -4,13 +4,49 @@
 // Expected shape: OF designs sit on/below the KLT curve everywhere, and
 // roughly an order of magnitude below it where over-clocking errors hit
 // the KLT designs (large word-lengths); OF designs behave as predicted.
+//
+// Writes BENCH_paper.json into the CWD: the geomean headline, the number of
+// KLT points it compares, and `paper_checksum_match` — an FNV-1a over every
+// point's coefficients and its area, predicted-MSE and actual-MSE bits,
+// compared with kPaperGolden. Any change that moves a Fig-11 bit flips the
+// match, which tools/check_perf_floors.py fails in CI; a change that means
+// to move it re-blesses kPaperGolden, says why in CHANGES.md and updates
+// EXPERIMENTS.md.
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 
 #include "bench_common.hpp"
 #include "core/baseline.hpp"
+#include "golden_checksum.hpp"
 
 using namespace oclp;
 using namespace oclp::bench;
+
+namespace {
+
+// FNV-1a of every Fig-11 point on the reference die (kReferenceDieSeed),
+// captured before serving gated multipliers as exact arithmetic.
+constexpr std::uint64_t kPaperGolden = 0x964ac618b38fc65eULL;
+
+void mix_point(testing_golden::Fnv1a& h, const LinearProjectionDesign& d,
+               double actual) {
+  for (const DesignColumn& col : d.columns) {
+    h.mix(static_cast<std::uint64_t>(col.config.arch));
+    h.mix(static_cast<std::uint64_t>(col.config.wordlength));
+    h.mix(static_cast<std::uint64_t>(col.config.pipeline_depth));
+    for (const QuantCoeff& c : col.coeffs) {
+      h.mix(static_cast<std::uint64_t>(c.sign < 0));
+      h.mix(static_cast<std::uint64_t>(c.magnitude));
+    }
+  }
+  h.mix(d.area_estimate);
+  h.mix(d.predicted_objective());
+  h.mix(actual);
+}
+
+}  // namespace
 
 int main() {
   print_header("Figure 11 — MSE vs area at 310 MHz: OF (beta=4,8) vs KLT (wl 3..9)",
@@ -25,6 +61,7 @@ int main() {
     bool is_of;
   };
   std::vector<Point> points;
+  testing_golden::Fnv1a checksum;
 
   for (double beta : ctx.table1.betas) {
     const auto run = ctx.run_framework(beta);
@@ -33,6 +70,7 @@ int main() {
       table.add_row({std::string("OF beta=") + std::to_string(beta).substr(0, 3),
                      d.origin, d.area_estimate, d.predicted_objective(), actual});
       points.push_back({d.area_estimate, actual, true});
+      mix_point(checksum, d, actual);
     }
   }
 
@@ -47,6 +85,7 @@ int main() {
     table.add_row({std::string("KLT"), d.origin, d.area_estimate,
                    d.predicted_objective(), actual});
     points.push_back({d.area_estimate, actual, false});
+    mix_point(checksum, d, actual);
   }
   table.print(std::cout);
 
@@ -66,9 +105,23 @@ int main() {
       ++comparisons;
     }
   }
+  const double geomean =
+      comparisons > 0 ? std::exp(log_ratio_sum / comparisons) : 0.0;
   if (comparisons > 0)
     std::cout << "geometric-mean actual-MSE improvement of OF over KLT at "
-              << "comparable area: " << std::exp(log_ratio_sum / comparisons)
-              << "x over " << comparisons << " comparisons (paper: ~10x)\n";
+              << "comparable area: " << geomean << "x over " << comparisons
+              << " comparisons (paper: ~10x)\n";
+
+  const bool match = checksum.h == kPaperGolden;
+  std::printf("paper checksum %016" PRIx64 " (golden %016" PRIx64 "): %s\n",
+              checksum.h, kPaperGolden, match ? "match" : "MISMATCH");
+  std::ofstream os("BENCH_paper.json");
+  os.precision(10);
+  os << "{\n  \"fig11\": {\n"
+     << "    \"geomean\": " << geomean << ",\n"
+     << "    \"comparisons\": " << comparisons << ",\n"
+     << "    \"paper_checksum_match\": " << (match ? "true" : "false")
+     << "\n  }\n}\n";
+  std::printf("-> BENCH_paper.json\n");
   return 0;
 }

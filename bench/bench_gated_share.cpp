@@ -1,7 +1,7 @@
 // Slack-gate coverage of the benchmark workloads: the share of multiplier
-// streams the slack gate runs without settle propagation (DESIGN.md §12),
-// measured on each perfbench workload's configuration rather than
-// predicted from critical paths.
+// streams the slack gate answers with exact arithmetic instead of running
+// them (DESIGN.md §12), measured on each perfbench workload's configuration
+// rather than predicted from critical paths.
 //
 //  * serve_steady — the 18-multiplier wl-5 design at 250 MHz on the
 //    reference die (jittered plan) behind a 2-worker, batch-64, 5 %-checked
@@ -178,7 +178,7 @@ void design_table1() {
       CharacterisationCircuit::Workspace ws;
       for (std::uint32_t m = 0; m < (1u << wl); ++m) {
         circuit.run_multi(m, xs, freqs, m + 1, &ws);
-        ++(ws.stream.gated ? char_gated : char_full);
+        ++(ws.gated ? char_gated : char_full);
       }
     }
   }

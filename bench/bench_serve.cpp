@@ -224,8 +224,8 @@ BatchScaling run_batch_scaling(bool smoke) {
   out.batched_vs_scalar_speedup = out.points.back().speedup;
   out.batch1_full_vs_scalar_speedup = scalar_s / best_s.back();
   // Batch 1 must never lose to the per-sample loop: a single-sample batch
-  // runs its streams inline through the single-lane walk — the reference
-  // loop's per-cell work in integer ticks, or values only when the gate
+  // runs inline — through the single-lane walk, the reference loop's
+  // per-cell work in integer ticks, or as exact arithmetic when the gate
   // holds — so anything far below 1.0 here means that path broke (the 0.9
   // slack only absorbs timer noise, not a real regression).
   OCLP_CHECK_MSG(out.batch1_vs_scalar_speedup >= 0.9,
@@ -337,8 +337,9 @@ struct SlackGate {
 // Slack-gate section: the batch-scaling design at its 150 MHz clock, whose
 // period clears every multiplier's structural critical path, served in
 // batches of 64 through two circuits with the same clock seed — one with
-// the gate on, one forced to propagate settle times in full. The gate may
-// only move the speed: every output must agree bit for bit.
+// the gate on (every multiplier exact arithmetic, no stream), one forced to
+// run every stream in full. The gate may only move the speed: every output
+// must agree bit for bit.
 SlackGate run_slack_gate(bool smoke) {
   const auto design = serve_design(150.0);
   const Device device = make_device();

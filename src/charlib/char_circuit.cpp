@@ -142,10 +142,13 @@ CharacterisationCircuit::CharacterisationCircuit(const CharCircuitConfig& cfg,
 }
 
 void CharacterisationCircuit::check_run(
-    std::uint32_t m, const std::vector<double>& freqs_mhz) const {
+    std::uint32_t m, const std::vector<std::uint32_t>& xs,
+    const std::vector<double>& freqs_mhz) const {
   const int wl_m = cfg_.mult.wordlength;
   OCLP_CHECK_MSG(m < (1u << wl_m), "multiplicand " << m << " exceeds "
                                             << wl_m << " bits");
+  for ([[maybe_unused]] const std::uint32_t x : xs)
+    OCLP_DCHECK(x < (1u << cfg_.wl_x));
   OCLP_CHECK_MSG(!freqs_mhz.empty(), "run_multi needs at least one frequency");
   // The framework must only measure DUT errors: the DUT clock has to stay
   // below the supporting-logic limit, and the FSM domain below both.
@@ -170,7 +173,6 @@ std::size_t CharacterisationCircuit::fsm_cycles(std::size_t n) const {
 
 void CharacterisationCircuit::stream_dut(std::uint32_t m,
                                          const std::vector<std::uint32_t>& xs,
-                                         std::uint64_t min_period_ticks,
                                          Workspace& ws) const {
   // The per-constant CCM cell has no multiplicand bus — m is baked in.
   const OverclockSim& sim = sim_for(m);
@@ -188,26 +190,25 @@ void CharacterisationCircuit::stream_dut(std::uint32_t m,
   const std::size_t nin = in.size();
   ws.input_bits.resize(n * nin + 8);  // store_bit_bytes' slack
   for (std::size_t i = 0; i < n; ++i) {
-    OCLP_DCHECK(xs[i] < (1u << cfg_.wl_x));
     std::uint8_t* row = ws.input_bits.data() + i * nin;
     store_bit_bytes(row, m, static_cast<int>(wlm));
     store_bit_bytes(row + wlm, xs[i], cfg_.wl_x);
   }
-  sim.run_stream(ws.sim, ws.input_bits.data(), n, ws.stream, min_period_ticks);
+  sim.run_stream(ws.sim, ws.input_bits.data(), n, ws.stream);
 }
 
 CharTrace CharacterisationCircuit::run(std::uint32_t m,
                                        const std::vector<std::uint32_t>& xs,
                                        double freq_mhz,
                                        std::uint64_t jitter_seed) const {
-  check_run(m, {freq_mhz});
+  check_run(m, xs, {freq_mhz});
   ClockGen clock(freq_mhz, cfg_.with_jitter ? device_->config().jitter_sigma_ns : 0.0,
                  hash_mix(jitter_seed, m, static_cast<std::uint64_t>(freq_mhz * 1e3)));
 
   // One jittered period per edge, drawn up front in sample order — the
   // sequence a clock-by-clock run consumes — and converted once to the
-  // exact tick threshold, so the stream knows its shortest period (the
-  // slack gate) before it runs.
+  // exact tick threshold, so the shortest period (the slack gate) is known
+  // before anything runs.
   const std::size_t n = xs.size();
   std::vector<std::uint64_t> period_ticks(n);
   std::uint64_t min_ticks = ~std::uint64_t{0};
@@ -215,8 +216,10 @@ CharTrace CharacterisationCircuit::run(std::uint32_t m,
     period_ticks[i] = PsGrid::period_ticks(clock.next_period_ns());
     min_ticks = std::min(min_ticks, period_ticks[i]);
   }
+  // A gated point's every capture is its settled word, the exact product.
+  const bool gated = min_ticks >= sim_for(m).critical_path_ticks();
   Workspace ws;
-  stream_dut(m, xs, min_ticks, ws);
+  if (!gated) stream_dut(m, xs, ws);
 
   CharTrace trace;
   trace.fsm_cycles = fsm_cycles(n);
@@ -224,9 +227,10 @@ CharTrace CharacterisationCircuit::run(std::uint32_t m,
   trace.expected.resize(n);
   trace.error.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t obs = ws.stream.capture_word_ticks(i, period_ticks[i]);
     const std::uint64_t exp =
         static_cast<std::uint64_t>(m) * static_cast<std::uint64_t>(xs[i]);
+    const std::uint64_t obs =
+        gated ? exp : ws.stream.capture_word_ticks(i, period_ticks[i]);
     trace.observed[i] = obs;
     trace.expected[i] = exp;
     trace.error[i] =
@@ -240,7 +244,7 @@ std::vector<CharTrace> CharacterisationCircuit::run_multi(
     std::uint32_t m, const std::vector<std::uint32_t>& xs,
     const std::vector<double>& freqs_mhz, std::uint64_t jitter_seed,
     Workspace* workspace) const {
-  check_run(m, freqs_mhz);
+  check_run(m, xs, freqs_mhz);
   const std::size_t nf = freqs_mhz.size();
   std::vector<double> periods(nf);
   for (std::size_t fi = 0; fi < nf; ++fi) periods[fi] = 1000.0 / freqs_mhz[fi];
@@ -265,10 +269,10 @@ std::vector<CharTrace> CharacterisationCircuit::run_multi(
     t.fsm_cycles = fsm_cycles(n);  // per virtual per-frequency run
   }
 
-  // Jitter is drawn up front, in sample order, so the stream knows its
-  // shortest capture period before it runs: fl(p_min + j_min) bounds
+  // Jitter is drawn up front, in sample order, so the shortest capture
+  // period is known before the stream runs: fl(p_min + j_min) bounds
   // every fl(p_f + j_i), as rounding is monotone. At or above the DUT's
-  // critical path the slack gate skips settle propagation altogether.
+  // critical path the slack gate answers from the exact products instead.
   ws.jitter.resize(n);
   double j_min = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < n; ++i) {
@@ -283,7 +287,9 @@ std::vector<CharTrace> CharacterisationCircuit::run_multi(
     j_min = std::min(j_min, j);
   }
   const double p_min = *std::min_element(periods.begin(), periods.end());
-  stream_dut(m, xs, PsGrid::period_ticks(p_min + j_min), ws);
+  ws.gated = PsGrid::period_ticks(p_min + j_min) >=
+             sim_for(m).critical_path_ticks();
+  if (!ws.gated) stream_dut(m, xs, ws);
 
   // Sampling a frequency is then obs = settled word with the too-late
   // toggled bits flipped back — O(toggled) per frequency instead of
@@ -295,7 +301,8 @@ std::vector<CharTrace> CharacterisationCircuit::run_multi(
     const std::uint64_t exp =
         static_cast<std::uint64_t>(m) * static_cast<std::uint64_t>(xs[i]);
     for (std::size_t fi = 0; fi < nf; ++fi) {
-      const std::uint64_t obs = ws.stream.capture_word(i, periods[fi] + j);
+      const std::uint64_t obs =
+          ws.gated ? exp : ws.stream.capture_word(i, periods[fi] + j);
       CharTrace& t = traces[fi];
       t.observed[i] = obs;
       t.error[i] =

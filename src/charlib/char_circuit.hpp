@@ -9,7 +9,8 @@
 // assuming it.
 //
 // Characterisation offers two drivers, both one OverclockSim::run_stream
-// pass over the stream:
+// pass over the stream — or none, when the slack gate proves every capture
+// settled (see run()):
 //  * run()       — the per-frequency path: the stream clocked at one
 //                  frequency, one PLL-jittered period per edge.
 //  * run_multi() — the single-pass path: settle times are frequency-
@@ -66,6 +67,8 @@ class CharacterisationCircuit {
     OverclockSim::SweepStream stream;
     std::vector<std::uint8_t> input_bits;  ///< row-major samples x inputs
     std::vector<double> jitter;            ///< per-sample PLL jitter (ns)
+    /// The last run_multi was slack-gated: answered from m·x, no stream.
+    bool gated = false;
   };
 
   CharacterisationCircuit(const CharCircuitConfig& cfg, const Device& device,
@@ -90,6 +93,11 @@ class CharacterisationCircuit {
   /// clocked at `freq_mhz`. Throws if the supporting logic could not keep
   /// up (the framework must never inject errors of its own). This is the
   /// per-frequency path; characterisation sweeps use run_multi() instead.
+  ///
+  /// Slack gate: when the shortest jittered period clears the DUT's
+  /// structural critical path, no capture can be stale (DESIGN.md §12), so
+  /// the trace is the exact products with zero errors and no stream runs.
+  /// The jitter is drawn either way, in the same order.
   CharTrace run(std::uint32_t m, const std::vector<std::uint32_t>& xs,
                 double freq_mhz, std::uint64_t jitter_seed = 1) const;
 
@@ -97,9 +105,10 @@ class CharacterisationCircuit {
   /// PLL jitter (when configured) is drawn once per sample and applied to
   /// every frequency's period, so each frequency's period sequence has
   /// exactly the per-frequency path's distribution; with jitter disabled
-  /// the traces are bitwise identical to running run() per frequency.
-  /// Thread-safe: concurrent calls must pass distinct workspaces (or
-  /// nullptr for a call-local one).
+  /// the traces are bitwise identical to running run() per frequency. The
+  /// slack gate is run()'s, at the shortest period over every (frequency,
+  /// sample). Thread-safe: concurrent calls must pass distinct workspaces
+  /// (or nullptr for a call-local one).
   std::vector<CharTrace> run_multi(std::uint32_t m,
                                    const std::vector<std::uint32_t>& xs,
                                    const std::vector<double>& freqs_mhz,
@@ -116,14 +125,15 @@ class CharacterisationCircuit {
   }
   /// Throws unless `m` fits the multiplicand port and every frequency
   /// (at least one) stays below the supporting-logic Fmax.
-  void check_run(std::uint32_t m, const std::vector<double>& freqs_mhz) const;
+  void check_run(std::uint32_t m, const std::vector<std::uint32_t>& xs,
+                 const std::vector<double>& freqs_mhz) const;
   /// FSM-domain cycles to load, run and drain `n` samples through the
   /// stream BRAMs.
   std::size_t fsm_cycles(std::size_t n) const;
   /// Reset the DUT for `m` to the all-zero operand and stream `xs` through
-  /// it in one run_stream pass into `ws`, gated at `min_period_ticks`.
+  /// it in one run_stream pass into `ws`.
   void stream_dut(std::uint32_t m, const std::vector<std::uint32_t>& xs,
-                  std::uint64_t min_period_ticks, Workspace& ws) const;
+                  Workspace& ws) const;
 
   CharCircuitConfig cfg_;
   const Device* device_;

@@ -15,8 +15,18 @@
 namespace oclp {
 
 namespace {
+
 constexpr double kRidge = 1e-10;
+
+// One multiplier's settled product as a signed, scaled term. Exact: the
+// product is below 2^53 and the scale a power of two, so it is bitwise
+// what a capture of the settled word contributes.
+double exact_term(int sign, std::uint32_t magnitude, std::uint32_t x,
+                  double inv_scale) {
+  return sign * static_cast<double>(std::uint64_t{magnitude} * x) * inv_scale;
 }
+
+}  // namespace
 
 CircuitPlan simulated_plan(const LinearProjectionDesign& design,
                            const Placement& characterised_at) {
@@ -96,6 +106,10 @@ ProjectionCircuit::ProjectionCircuit(const LinearProjectionDesign& design,
           std::make_unique<OverclockSim>(std::move(nl), std::move(delays)));
     }
   }
+  // Every register starts flushed to the zero operand, settled lazily by
+  // each multiplier's first full stream (project_batch).
+  last_x_.assign(p, 0);
+  sim_synced_.assign(k * p, 0);
   recompute_mean_correction();
 }
 
@@ -168,25 +182,28 @@ std::vector<double> ProjectionCircuit::project(const std::vector<std::uint32_t>&
   return y;
 }
 
+void ProjectionCircuit::check_codes(const std::vector<std::uint32_t>* x,
+                                    std::size_t row) const {
+  OCLP_CHECK_MSG(x != nullptr, "row " << row << " has no input codes");
+  OCLP_CHECK_MSG(x->size() == dims_p(), "row " << row << " has " << x->size()
+                                               << " codes for a P="
+                                               << dims_p() << " design");
+  const std::uint32_t limit = std::uint32_t{1} << wl_x_;
+  for (std::size_t pp = 0; pp < x->size(); ++pp)
+    OCLP_CHECK_MSG((*x)[pp] < limit, "row " << row << ", input " << pp
+                                            << ": code " << (*x)[pp]
+                                            << " out of range for wl_x="
+                                            << wl_x_);
+}
+
 void ProjectionCircuit::project_batch(
     const std::vector<const std::vector<std::uint32_t>*>& batch,
-    std::vector<std::vector<double>>& ys,
-    const std::vector<std::size_t>* ref_rows,
-    std::vector<std::vector<double>>* refs) {
+    std::vector<std::vector<double>>& ys) {
   const std::size_t p = dims_p();
   const std::size_t k = dims_k();
   const std::size_t n = batch.size();
-  for (std::size_t s = 0; s < n; ++s)
-    OCLP_CHECK(batch[s] != nullptr && batch[s]->size() == p);
-  const std::size_t nr = ref_rows != nullptr ? ref_rows->size() : 0;
-  OCLP_CHECK_MSG(ref_rows == nullptr || refs != nullptr,
-                 "project_batch: reference rows requested without an output");
-  for (std::size_t j = 0; j < nr; ++j)
-    OCLP_CHECK_MSG((*ref_rows)[j] < n, "project_batch: reference row "
-                                           << (*ref_rows)[j] << " of a batch of "
-                                           << n);
+  for (std::size_t s = 0; s < n; ++s) check_codes(batch[s], s);
   ys.resize(n);
-  if (refs != nullptr) refs->resize(nr);
   if (n == 0) return;
 
   // All multipliers share the mult_clk domain; one jittered period per
@@ -204,90 +221,92 @@ void ProjectionCircuit::project_batch(
     periods_ticks_[s] = PsGrid::period_ticks(periods_[s]);
     min_ticks = std::min(min_ticks, periods_ticks_[s]);
   }
-  // The slack gate's bound: no sample of this batch is captured sooner.
-  const std::uint64_t gate_ticks = slack_gate_ ? min_ticks : 0;
 
+  // The slack gate, per multiplier: no sample of this batch is captured
+  // sooner than min_ticks, so a critical path within it proves every
+  // capture settled and the multiplier's terms are exact arithmetic.
   const std::size_t kp = k * p;
-  const bool need_reset = first_sample_;
-  contrib_.resize(kp * n);
-  ref_contrib_.resize(kp * nr);
   stream_gated_.resize(kp);
+  bool any_full = false;
+  for (std::size_t m = 0; m < kp; ++m) {
+    stream_gated_[m] =
+        slack_gate_ && min_ticks >= sims_[m]->critical_path_ticks();
+    any_full |= stream_gated_[m] == 0;
+  }
+  contrib_.resize(kp * n);
 
-  // Each chunk of the K·P independent multiplier streams owns a reusable
+  // Each chunk of the K·P independent multipliers owns a reusable
   // workspace; each multiplier's register state lives in its sim, so the
   // chunk → multiplier mapping never affects results and the reduction
   // below is a fixed-order serial sum.
   const auto run_chunk = [&](std::size_t m0, std::size_t m1,
                              std::size_t chunk) {
-    BatchWorkspace& ws = batch_ws_.at(chunk);
     for (std::size_t m = m0; m < m1; ++m) {
       const std::size_t kk = m / p, pp = m % p;
       const DesignColumn& col = design_.columns[kk];
-      const bool ccm = column_is_ccm(col);
       // 1/2^(wl + wl_x) is exact, so the multiply matches a division by
       // the scale bit for bit.
       const double inv_scale = std::ldexp(1.0, -(col.wordlength() + wl_x_));
       const int sign = col.coeffs[pp].sign;
+      const std::uint32_t mag = col.coeffs[pp].magnitude;
+      double* c = contrib_.data() + m * n;
+      if (stream_gated_[m]) {
+        for (std::size_t s = 0; s < n; ++s)
+          c[s] = exact_term(sign, mag, (*batch[s])[pp], inv_scale);
+        continue;
+      }
+
+      BatchWorkspace& ws = batch_ws_.at(chunk);
       OverclockSim& sim = *sims_[m];
       // CCM netlists expose only the x port (the constant is baked in).
+      const bool ccm = column_is_ccm(col);
       const std::size_t cb =
           ccm ? 0 : static_cast<std::size_t>(col.wordlength());
       const std::size_t nin = cb + static_cast<std::size_t>(wl_x_);
-
-      if (need_reset) {
-        std::vector<std::uint8_t> init;
-        if (!ccm) append_bits(init, col.coeffs[pp].magnitude, col.wordlength());
-        append_bits(init, 0, wl_x_);
-        sim.reset(init);
+      // Lazy state rebuild: a sim that skipped its streams settles on the
+      // last code it saw — one CompiledNetlist::eval, exactly the settled
+      // state a full stream would have left.
+      if (!sim_synced_[m]) {
+        ws.reset.clear();
+        if (!ccm) append_bits(ws.reset, mag, col.wordlength());
+        append_bits(ws.reset, last_x_[pp], wl_x_);
+        sim.reset(ws.reset);
       }
 
       // Row-major input-bit matrix: the fixed multiplicand bits (generic
       // path only) plus one streamed operand per sample, with the 8 bytes
       // of slack store_bit_bytes needs past the last row.
       ws.inputs.resize(n * nin + 8);
-      const std::uint32_t mag = col.coeffs[pp].magnitude;
       for (std::size_t s = 0; s < n; ++s) {
         std::uint8_t* row = ws.inputs.data() + s * nin;
         store_bit_bytes(row, mag, static_cast<int>(cb));
         store_bit_bytes(row + cb, (*batch[s])[pp], wl_x_);
       }
-      sim.run_stream(ws.inputs.data(), n, ws.stream, gate_ticks);
-      stream_gated_[m] = ws.stream.gated;
-
-      // Per-sample signed, scaled product, evaluated per multiplier into an
-      // SoA slab. A gated stream captures its settled words; a full one
-      // captures through unsigned tick compares against the pre-converted
-      // thresholds.
-      const std::uint64_t* settled = ws.stream.settled.data();
-      double* c = contrib_.data() + m * n;
-      if (ws.stream.gated) {
-        for (std::size_t s = 0; s < n; ++s)
-          c[s] = sign * static_cast<double>(settled[s]) * inv_scale;
-      } else {
-        for (std::size_t s = 0; s < n; ++s) {
-          const double product = static_cast<double>(
-              ws.stream.capture_word_ticks(s, periods_ticks_[s]));
-          c[s] = sign * product * inv_scale;
-        }
+      sim.run_stream(ws.inputs.data(), n, ws.stream);
+      // Per-sample signed, scaled product, captured through unsigned tick
+      // compares against the pre-converted thresholds.
+      for (std::size_t s = 0; s < n; ++s) {
+        const double product = static_cast<double>(
+            ws.stream.capture_word_ticks(s, periods_ticks_[s]));
+        c[s] = sign * product * inv_scale;
       }
-      // Fused references: the same pass's settled words, uncorrected.
-      double* rc = ref_contrib_.data() + m * nr;
-      for (std::size_t j = 0; j < nr; ++j)
-        rc[j] = sign * static_cast<double>(settled[(*ref_rows)[j]]) * inv_scale;
     }
   };
-  // A single sample has nothing to amortise a fan-out over: its streams
-  // run inline. Larger batches distribute them per the policy.
-  if (n == 1) {
+  // A single sample has nothing to amortise a fan-out over, and a batch
+  // of arithmetic alone has nothing worth one: both run inline. Batches
+  // with a full stream distribute their multipliers per the policy.
+  if (n == 1 || !any_full) {
     batch_ws_.ensure(1);
     run_chunk(0, kp, 0);
   } else {
     batch_ws_.ensure(exec_.num_chunks(kp));
     exec_.for_chunks(0, kp, run_chunk);
   }
-  first_sample_ = false;
-  for (std::size_t m = 0; m < kp; ++m)
+  for (std::size_t m = 0; m < kp; ++m) {
     ++(stream_gated_[m] ? streams_.gated : streams_.full);
+    sim_synced_[m] = stream_gated_[m] == 0;
+  }
+  last_x_ = *batch[n - 1];
 
   // Serial reduction in a fixed accumulation order (pp ascending per
   // output dimension, correction last): floating-point addition order is
@@ -301,85 +320,35 @@ void ProjectionCircuit::project_batch(
       ys[s][kk] = acc - mean_correction_[kk];
     }
   }
-  // The references in project_settled()'s order: pp ascending from 0.0,
-  // no correction.
-  for (std::size_t j = 0; j < nr; ++j) {
-    std::vector<double>& r = (*refs)[j];
-    r.resize(k);
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      double acc = 0.0;
-      for (std::size_t pp = 0; pp < p; ++pp)
-        acc += ref_contrib_[(kk * p + pp) * nr + j];
-      r[kk] = acc;
-    }
+}
+
+void ProjectionCircuit::exact_row(const std::vector<std::uint32_t>& x,
+                                  std::vector<double>& y) const {
+  y.resize(dims_k());
+  for (std::size_t kk = 0; kk < dims_k(); ++kk) {
+    const DesignColumn& col = design_.columns[kk];
+    const double inv_scale = std::ldexp(1.0, -(col.wordlength() + wl_x_));
+    double acc = 0.0;
+    for (std::size_t pp = 0; pp < dims_p(); ++pp)
+      acc += exact_term(col.coeffs[pp].sign, col.coeffs[pp].magnitude, x[pp],
+                        inv_scale);
+    y[kk] = acc;
   }
 }
 
 void ProjectionCircuit::project_settled(
     const std::vector<const std::vector<std::uint32_t>*>& batch,
-    std::vector<std::vector<double>>& ys) {
-  const std::size_t p = dims_p();
-  const std::size_t k = dims_k();
+    std::vector<std::vector<double>>& ys) const {
+  for (std::size_t i = 0; i < batch.size(); ++i) check_codes(batch[i], i);
   ys.resize(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    OCLP_CHECK(batch[i] != nullptr && batch[i]->size() == p);
-    ys[i].assign(k, 0.0);
-  }
-
-  for (std::size_t base = 0; base < batch.size(); base += 64) {
-    const std::size_t lanes = std::min<std::size_t>(64, batch.size() - base);
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const DesignColumn& col = design_.columns[kk];
-      const bool ccm = column_is_ccm(col);
-      const double scale = std::ldexp(1.0, col.wordlength() + wl_x_);
-      for (std::size_t pp = 0; pp < p; ++pp) {
-        const CompiledNetlist& cnl = sims_[kk * p + pp]->compiled();
-        lane_words_.assign(cnl.num_nets(), 0);
-        // Multiplicand bits (generic path only — a CCM has no such port)
-        // are shared by every lane; streamed-operand bits carry one
-        // request per lane.
-        const std::size_t cb =
-            ccm ? 0 : static_cast<std::size_t>(col.wordlength());
-        if (!ccm)
-          for (int b = 0; b < col.wordlength(); ++b)
-            if ((col.coeffs[pp].magnitude >> b) & 1u)
-              lane_words_[static_cast<std::size_t>(cnl.input_net(
-                  static_cast<std::size_t>(b)))] = ~std::uint64_t{0};
-        for (std::size_t l = 0; l < lanes; ++l) {
-          const std::uint32_t x = (*batch[base + l])[pp];
-          for (int b = 0; b < wl_x_; ++b)
-            lane_words_[static_cast<std::size_t>(cnl.input_net(
-                cb + static_cast<std::size_t>(b)))] |=
-                static_cast<std::uint64_t>((x >> b) & 1u) << l;
-        }
-        cnl.eval64(lane_words_);
-        for (std::size_t l = 0; l < lanes; ++l) {
-          std::uint64_t product = 0;
-          for (std::size_t o = 0; o < cnl.num_outputs(); ++o)
-            product |=
-                ((lane_words_[static_cast<std::size_t>(cnl.out_net(o))] >> l) & 1u)
-                << o;
-          ys[base + l][kk] += col.coeffs[pp].sign *
-                              static_cast<double>(product) / scale;
-        }
-      }
-    }
-  }
+  for (std::size_t i = 0; i < batch.size(); ++i) exact_row(*batch[i], ys[i]);
 }
 
 std::vector<double> ProjectionCircuit::project_exact(
     const std::vector<std::uint32_t>& x_codes) const {
-  const std::size_t p = dims_p();
-  std::vector<double> y(dims_k(), 0.0);
-  for (std::size_t kk = 0; kk < dims_k(); ++kk) {
-    const DesignColumn& col = design_.columns[kk];
-    const double scale = std::ldexp(1.0, col.wordlength() + wl_x_);
-    for (std::size_t pp = 0; pp < p; ++pp) {
-      const double product = static_cast<double>(col.coeffs[pp].magnitude) *
-                             static_cast<double>(x_codes[pp]);
-      y[kk] += col.coeffs[pp].sign * product / scale;
-    }
-  }
+  check_codes(&x_codes, 0);
+  std::vector<double> y;
+  exact_row(x_codes, y);
   return y;
 }
 
@@ -398,9 +367,8 @@ double evaluate_hardware_mse(const LinearProjectionDesign& design,
 
   ProjectionCircuit circuit(design, device, plan, wl_x, models, clock_seed);
 
-  // Stream the whole evaluation set through the batched run_stream kernel
-  // in one call — same y vectors as a per-sample project() loop, with the
-  // 64-lane kernel's amortisation.
+  // Project the whole evaluation set in one batch — same y vectors as a
+  // per-sample project() loop, with the 64-lane kernel's amortisation.
   const std::size_t n = x.cols();
   std::vector<std::vector<std::uint32_t>> codes(n);
   std::vector<const std::vector<std::uint32_t>*> batch(n);

@@ -75,32 +75,29 @@ class ProjectionCircuit {
   /// order — including the per-sample ClockGen jitter draw order (same
   /// clock_seed ⇒ same clocks) and the sign/mean-correction accumulation
   /// order — and freely interleavable with project()/set_clock() (the
-  /// multiplier register state carries across). The K·P per-multiplier
-  /// streams of a batch of n >= 2 are distributed per the circuit's
-  /// ExecPolicy (default: pinned, one chunk per worker) with per-chunk
-  /// reusable workspaces in a stable-address arena; a single-sample batch
-  /// runs them inline on the calling thread through run_stream's
-  /// single-lane walk. No steady-state allocation beyond `ys`, which is
-  /// resized to batch.size() rows of K entries; rows keep their capacity
-  /// across calls.
+  /// multiplier register state carries across). Every sample is checked
+  /// first: a CheckError names the row and input of a wrong-length vector
+  /// or a code of wl_x bits or more. No steady-state allocation beyond
+  /// `ys`, which is resized to batch.size() rows of K entries; rows keep
+  /// their capacity across calls.
   ///
-  /// Slack gate: each multiplier stream is handed the batch's shortest
-  /// jittered period, so a multiplier whose structural critical path fits
-  /// it skips settle propagation entirely (OverclockSim::run_stream) —
-  /// same bits, counted in stream_counts().
-  ///
-  /// Fused references: when `ref_rows` is given, `refs` (required) is
-  /// resized to ref_rows->size() rows of K, and row j is the settled
-  /// projection of batch[(*ref_rows)[j]] — bitwise what project_settled()
-  /// returns for that request — taken from the settled words of the same
-  /// stream pass instead of a second evaluation.
+  /// Slack gate: a multiplier whose structural critical path fits the
+  /// batch's shortest jittered period cannot capture a stale bit (the
+  /// slack theorem, DESIGN.md §12), so it runs no stream: each sample
+  /// contributes sign·(magnitude·x)·2^-(wl+wl_x), bitwise what its settled
+  /// capture would. Its sim is rebuilt lazily — reset() to the last code
+  /// it saw, exactly the state a full stream would have left — before its
+  /// next full stream. A batch in which every multiplier is gated, and any
+  /// single-sample batch, runs inline on the calling thread; otherwise the
+  /// K·P multipliers are distributed per the circuit's ExecPolicy
+  /// (default: pinned, one chunk per worker) with per-chunk reusable
+  /// workspaces in a stable-address arena. stream_counts() tells the two
+  /// kinds apart.
   void project_batch(const std::vector<const std::vector<std::uint32_t>*>& batch,
-                     std::vector<std::vector<double>>& ys,
-                     const std::vector<std::size_t>* ref_rows = nullptr,
-                     std::vector<std::vector<double>>* refs = nullptr);
+                     std::vector<std::vector<double>>& ys);
 
-  /// Multiplier streams project_batch (and so project()) ran slack-gated
-  /// vs in full, since construction.
+  /// Multiplier streams project_batch (and so project()) answered by the
+  /// slack gate's arithmetic vs ran in full, since construction.
   struct StreamCounts {
     std::uint64_t gated = 0;
     std::uint64_t full = 0;
@@ -119,19 +116,21 @@ class ProjectionCircuit {
   void set_exec_policy(const ExecPolicy& exec) { exec_ = exec; }
 
   /// Error-free reference projection of the same input codes (what the
-  /// circuit would produce with unlimited timing slack).
+  /// circuit would produce with unlimited timing slack): per output
+  /// dimension, Σ_p sign·(magnitude·x_p)·2^-(wl+wl_x) summed pp-ascending
+  /// from 0.0, with no mean-error correction (the settled datapath is
+  /// exact; corrections are an over-clocking artefact). The compiled
+  /// multipliers compute magnitude·x exactly (every operand pair is checked
+  /// by tests/mult/test_exact_products.cpp), so this is also the functional
+  /// value of the placed datapath. Timing-free: it never touches clock or
+  /// register state. Codes are checked as in project_batch.
   std::vector<double> project_exact(const std::vector<std::uint32_t>& x_codes) const;
 
-  /// Fully-settled projections of a batch of input-code vectors: the
-  /// functional value of the placed datapath for each request — what a
-  /// duplicate register with unlimited timing slack would capture. No
-  /// mean-error correction (the settled datapath is exact, corrections are
-  /// an over-clocking artefact). Runs 64 requests per eval64 pass through
-  /// each multiplier's compiled netlist; timing-free by construction, so
-  /// it never touches clock or register state. `ys` is resized to
-  /// batch.size() rows of K entries.
+  /// project_exact for a batch of input-code vectors — the safe-duplicate
+  /// reference the server checks against. `ys` is resized to batch.size()
+  /// rows of K entries.
   void project_settled(const std::vector<const std::vector<std::uint32_t>*>& batch,
-                       std::vector<std::vector<double>>& ys);
+                       std::vector<std::vector<double>>& ys) const;
 
   /// Re-target the clock without rebuilding the datapath: subsequent
   /// samples are clocked at `freq_mhz` and the characterised mean-error
@@ -157,12 +156,17 @@ class ProjectionCircuit {
 
  private:
   void recompute_mean_correction();
+  /// Throws unless `x` is P codes, each below 2^wl_x (naming `row`).
+  void check_codes(const std::vector<std::uint32_t>* x, std::size_t row) const;
+  /// project_exact into a caller buffer.
+  void exact_row(const std::vector<std::uint32_t>& x, std::vector<double>& y) const;
 
   /// project_batch worker scratch: one per shard of the K·P multiplier
   /// range, reused across batches.
   struct BatchWorkspace {
     OverclockSim::SweepStream stream;
     std::vector<std::uint8_t> inputs;  ///< n × num_inputs row-major bits
+    std::vector<std::uint8_t> reset;   ///< one input row for a lazy reset()
   };
 
   /// The architecture is per-column: a CCM column's sims bake the
@@ -183,16 +187,19 @@ class ProjectionCircuit {
   std::uint64_t clock_seed_;
   int retargets_ = 0;
   ClockGen clock_;
-  bool first_sample_ = true;
   std::vector<const std::vector<std::uint32_t>*> one_in_;  ///< project() batch of one
   std::vector<std::vector<double>> one_out_;               ///< its output row
-  std::vector<std::uint64_t> lane_words_;   ///< project_settled() scratch
+  /// Per input: the code of the last sample projected (0, the reset code,
+  /// before any) — what a gated multiplier's sim is rebuilt to.
+  std::vector<std::uint32_t> last_x_;
+  /// Per multiplier: its sim holds the settled state of last_x_ (false
+  /// from construction and after a gated batch, until the next reset()).
+  std::vector<std::uint8_t> sim_synced_;
   // project_batch scratch, reused across batches.
   std::vector<double> periods_;             ///< per-sample jittered periods
   std::vector<std::uint64_t> periods_ticks_;  ///< the same, as PsGrid ticks
   std::vector<double> contrib_;             ///< K·P × n per-multiplier terms
-  std::vector<double> ref_contrib_;         ///< K·P × refs settled terms
-  std::vector<std::uint8_t> stream_gated_;  ///< per multiplier, last batch
+  std::vector<std::uint8_t> stream_gated_;  ///< per multiplier, this batch
   StreamCounts streams_;
   bool slack_gate_ = true;
   ChunkArena<BatchWorkspace> batch_ws_;     ///< one stable slot per chunk

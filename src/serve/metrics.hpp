@@ -86,8 +86,8 @@ class ServeMetrics {
     std::size_t queue_depth = 0, queue_peak = 0;
     std::size_t pool_queue_depth = 0, pool_inflight = 0;
     double mean_batch_size = 0.0;
-    /// Multiplier streams run slack-gated / in full (scalar batch-1
-    /// projections count in neither).
+    /// Multiplier streams answered by the slack gate's exact arithmetic /
+    /// run in full, single-sample batches included.
     std::uint64_t streams_gated = 0, streams_full = 0;
     /// streams_gated over all streams; 0 before the first stream.
     double gated_share() const {

@@ -348,10 +348,10 @@ void ProjectionServer::process_batch(std::vector<Pending>&& batch) {
   }
 
   // Sampled survivors get the safe-duplicate check. Its reference is the
-  // settled functional value of the datapath, which project_batch returns
-  // for the checked rows from the same stream pass that serves them: it
-  // depends only on the request — never on the governor or derate state —
-  // so computing it there cannot perturb the governor trajectory below.
+  // settled functional value of the datapath (project_settled's exact
+  // arithmetic): it depends only on the request — never on the governor or
+  // derate state — so computing it cannot perturb the governor trajectory
+  // below.
   rep->checked.assign(batch.size(), 0);
   for (std::size_t i : rep->live)
     rep->checked[i] = sampled_for_check(batch[i].req.id);
@@ -394,15 +394,15 @@ void ProjectionServer::process_batch(std::vector<Pending>&& batch) {
     }
 
     rep->batch_inputs.clear();
-    rep->ref_rows.clear();
+    rep->check_inputs.clear();
     for (std::size_t j = seg_begin; j < seg_end; ++j) {
       const std::size_t bi = rep->live[j];
-      if (rep->checked[bi]) rep->ref_rows.push_back(j - seg_begin);
+      if (rep->checked[bi]) rep->check_inputs.push_back(&batch[bi].req.x_codes);
       rep->batch_inputs.push_back(&batch[bi].req.x_codes);
     }
     const auto streams_before = rep->serve.stream_counts();
-    rep->serve.project_batch(rep->batch_inputs, rep->batch_ys, &rep->ref_rows,
-                             &rep->check_refs);
+    rep->serve.project_batch(rep->batch_inputs, rep->batch_ys);
+    rep->serve.project_settled(rep->check_inputs, rep->check_refs);
     const auto streams_after = rep->serve.stream_counts();
     metrics_.on_streams(streams_after.gated - streams_before.gated,
                         streams_after.full - streams_before.full);

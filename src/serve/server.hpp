@@ -8,9 +8,10 @@
 //   max_batch / max_wait) → ThreadPool batch tasks → per-replica placed
 //   datapaths (core/circuit_eval) → result callback
 //
-// A picked-up micro-batch is served through the batched run_stream kernel
-// (ProjectionCircuit::project_batch): every replica multiplier clocks the
-// whole batch in one 64-lane settled pass with sparse settle propagation,
+// A picked-up micro-batch is served through ProjectionCircuit::project_batch:
+// every replica multiplier clocks the whole batch in one 64-lane settled
+// pass with sparse settle propagation — or, when the die proves it cannot
+// err at the batch's clock, as exact arithmetic with no stream at all —
 // so server throughput scales with batch size instead of flat-lining on
 // the per-sample timed interpreter. The governor can only move the clock
 // on the check verdict that closes a decision window, so the batch is
@@ -31,9 +32,8 @@
 //    slack the over-clocked one gave up; see timing/razor.hpp for the
 //    register-level analogue). Below the governor floor every output
 //    settles within the period, so the duplicate's capture IS the settled
-//    functional value — the settled words of the very stream pass that
-//    served the request (ProjectionCircuit::project_batch's fused
-//    references) instead of a second simulated datapath. Mismatches beyond
+//    functional value — ProjectionCircuit::project_settled's exact
+//    arithmetic instead of a second simulated datapath. Mismatches beyond
 //    `check_tolerance` are timing errors and feed the FrequencyGovernor,
 //    which trades clock rate against the error SLO (see governor.hpp).
 //  * Environment drift is injected with set_timing_derate() — circuits
@@ -193,8 +193,8 @@ class ProjectionServer {
   /// One deployed copy of the datapath plus the clock settings it
   /// currently runs at (so retargets only happen when the governor or
   /// derate moved). The safe-clock duplicate check needs no second
-  /// circuit: its reference is the settled functional value, read off the
-  /// serving pass itself (project_batch's fused references).
+  /// circuit: its reference is the settled functional value
+  /// (project_settled).
   struct Replica {
     explicit Replica(ProjectionCircuit s) : serve(std::move(s)) {}
     ProjectionCircuit serve;
@@ -210,12 +210,12 @@ class ProjectionServer {
     std::uint64_t design_generation = 0;
     // process_batch scratch, reused across batches (no steady-state
     // allocation): per-request check flag, surviving (non-shed) batch
-    // indices, per-segment kernel batch, its checked rows and their
+    // indices, per-segment kernel batch, its checked requests and their
     // references, the outputs, and the result handed to the callback.
     std::vector<std::uint8_t> checked;
     std::vector<std::size_t> live;
     std::vector<const std::vector<std::uint32_t>*> batch_inputs;
-    std::vector<std::size_t> ref_rows;
+    std::vector<const std::vector<std::uint32_t>*> check_inputs;
     std::vector<std::vector<double>> check_refs;
     std::vector<std::vector<double>> batch_ys;
     ServeResult result;

@@ -67,11 +67,9 @@ void ShadowTap::observe(
   mirrored_.clear();
   for (std::size_t i = 0; i < ids.size(); ++i)
     if (sampled(ids[i])) mirrored_.push_back(codes[i]);
-  // Every mirrored request is scored against its settled value, taken
-  // from the same stream pass (project_batch's fused references).
-  all_rows_.resize(mirrored_.size());
-  for (std::size_t i = 0; i < all_rows_.size(); ++i) all_rows_[i] = i;
-  circuit_.project_batch(mirrored_, timed_, &all_rows_, &settled_);
+  // Every mirrored request is scored against its settled value.
+  circuit_.project_batch(mirrored_, timed_);
+  circuit_.project_settled(mirrored_, settled_);
 
   for (std::size_t i = 0; i < mirrored_.size(); ++i) {
     bool mismatch = false;

@@ -37,48 +37,24 @@ void OverclockSim::reset(State& st, const std::vector<std::uint8_t>& inputs) con
 }
 
 void OverclockSim::run_stream(State& st, const std::uint8_t* inputs,
-                              std::size_t n, SweepStream& out,
-                              std::uint64_t min_period_ticks) const {
+                              std::size_t n, SweepStream& out) const {
   OCLP_CHECK_MSG(st.initialised, "OverclockSim::run_stream before reset");
   const std::size_t no = cnl_.num_outputs();
   OCLP_CHECK_MSG(no <= 64, "run_stream packs outputs into a 64-bit word; this "
                            "netlist has " << no << " outputs");
-  // The slack gate (see the header): settle <= structural arrival on both
-  // tracks, so a period at or above the critical path captures every bit
-  // fresh. 0 is "period unknown", never a gate.
-  const bool gated =
-      min_period_ticks != 0 && min_period_ticks >= critical_path_ticks_;
   out.settled.resize(n);
-  // A gated stream records no toggle pairs: every sample's range stays empty.
   out.toggle_begin.assign(n + 1, 0);
   out.toggle_bit.clear();
   out.toggle_settle_ticks.clear();
-  out.gated = gated;
   if (n == 0) return;
 
   const bool regs = cnl_.has_registers();
-  if (n == 1 && gated)
-    eval_one(st, inputs, out);
-  else if (n == 1)
+  if (n == 1)
     regs ? walk_one<true>(st, inputs, out) : walk_one<false>(st, inputs, out);
   else
-    regs ? run_lanes<true>(st, inputs, n, out, gated)
-         : run_lanes<false>(st, inputs, n, out, gated);
+    regs ? run_lanes<true>(st, inputs, n, out)
+         : run_lanes<false>(st, inputs, n, out);
   out.toggle_begin[n] = static_cast<std::uint32_t>(out.toggle_bit.size());
-}
-
-// The gated single sample: values only, one scalar pass over the cells.
-void OverclockSim::eval_one(State& st, const std::uint8_t* inputs,
-                            SweepStream& out) const {
-  const std::size_t ni = cnl_.num_inputs();
-  for (std::size_t i = 0; i < ni; ++i)
-    st.next[2 + i] = static_cast<std::uint8_t>(inputs[i] & 1u);
-  cnl_.eval(st.next);
-  std::uint64_t word = 0;
-  for (std::size_t k = 0; k < cnl_.num_outputs(); ++k)
-    word |= static_cast<std::uint64_t>(st.next[cnl_.out_net(k)]) << k;
-  out.settled[0] = word;
-  st.prev.swap(st.next);
 }
 
 // The single-lane walk: one linear pass over the levelized cells — a
@@ -150,8 +126,7 @@ void OverclockSim::walk_one(State& st, const std::uint8_t* inputs,
 
 template <bool kRegs>
 void OverclockSim::run_lanes(State& st, const std::uint8_t* inputs,
-                             std::size_t n, SweepStream& out,
-                             bool gated) const {
+                             std::size_t n, SweepStream& out) const {
   const std::size_t no = cnl_.num_outputs();
   const std::size_t ni = cnl_.num_inputs();
   const std::size_t nn = cnl_.num_nets();
@@ -164,13 +139,11 @@ void OverclockSim::run_lanes(State& st, const std::uint8_t* inputs,
   // edge c0+l (cell slots may go stale — see the propagation below). Input
   // and sentinel rows settle at 0 and are never written, so they are
   // re-zeroed in case this scratch last served another netlist.
-  if (!gated) {
-    out.lanes_ticks.resize(nn * 64);
-    std::fill_n(out.lanes_ticks.data(), base * 64, 0u);
-    if constexpr (kRegs) {
-      out.lanes_c_ticks.resize(nn * 64);
-      std::fill_n(out.lanes_c_ticks.data(), base * 64, 0u);
-    }
+  out.lanes_ticks.resize(nn * 64);
+  std::fill_n(out.lanes_ticks.data(), base * 64, 0u);
+  if constexpr (kRegs) {
+    out.lanes_c_ticks.resize(nn * 64);
+    std::fill_n(out.lanes_c_ticks.data(), base * 64, 0u);
   }
   out.carry.resize(nn);
 
@@ -207,13 +180,6 @@ void OverclockSim::run_lanes(State& st, const std::uint8_t* inputs,
     std::uint64_t out_words[64];
     for (std::size_t k = 0; k < no; ++k) out_words[k] = words[cnl_.out_net(k)];
     lk.unpack(out_words, no, cn, out.settled.data() + c0);
-
-    // A gated stream needs no settle times: carry the values on and stop.
-    if (gated) {
-      for (std::size_t net = 0; net < nn; ++net)
-        out.carry[net] = static_cast<std::uint8_t>((words[net] >> (cn - 1)) & 1u);
-      continue;
-    }
 
     // Toggle words: lane l is set where sample c0+l differs from its
     // predecessor (lane l-1, or the carried value for lane 0). Lanes at
@@ -357,9 +323,9 @@ void OverclockSim::reset(const std::vector<std::uint8_t>& inputs) {
 }
 
 void OverclockSim::run_stream(const std::uint8_t* inputs, std::size_t n,
-                              SweepStream& out, std::uint64_t min_period_ticks) {
+                              SweepStream& out) {
   stepped_ = false;
-  run_stream(state_, inputs, n, out, min_period_ticks);
+  run_stream(state_, inputs, n, out);
 }
 
 const std::vector<std::uint8_t>& OverclockSim::step(

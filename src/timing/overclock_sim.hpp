@@ -99,8 +99,11 @@ class OverclockSim {
   /// (ground truth, reference values) may run eval64 on it directly.
   const CompiledNetlist& compiled() const { return cnl_; }
 
-  /// Worst-case settle path in ticks: the structural bound no settle time
-  /// exceeds (the slack gate's threshold).
+  /// Worst-case settle path in ticks: the structural bound no recorded
+  /// settle time exceeds, on either track of the pipelined model. A stream
+  /// captured at a period of at least this many ticks therefore captures
+  /// its settled words exactly — the slack theorem (DESIGN.md §12) that
+  /// lets callers skip the stream and compute the product directly.
   std::uint64_t critical_path_ticks() const { return critical_path_ticks_; }
 
   /// The dense row fills (and dense/sparse crossover) run_stream uses —
@@ -136,11 +139,6 @@ class OverclockSim {
     std::vector<std::uint8_t> toggle_bit;
     /// Settle times as PsGrid ticks (PsGrid::to_ns dequantises exactly).
     std::vector<std::uint32_t> toggle_settle_ticks;
-    /// True iff the last run_stream was slack-gated (see run_stream): it
-    /// recorded no toggle pairs, so every capture returns the settled word
-    /// — exact for any period at or above the gate, which is all a gated
-    /// stream may be captured at.
-    bool gated = false;
 
     /// Output word of sample `s` captured at `period_ns` — the sampling
     /// rule above through the exact threshold conversion. Each sample may
@@ -187,17 +185,8 @@ class OverclockSim {
   ///  * n == 1 — the single-lane walk: one branch-free pass over the
   ///    levelized cells, value and settle ticks per cell, writing the
   ///    sample's settled word and toggle pairs straight into `out`.
-  ///
-  /// Slack gate: `min_period_ticks` is the shortest period (as
-  /// PsGrid::period_ticks) any capture of this stream will use; 0, the
-  /// default, means unknown. No net's settle time — on the single track or
-  /// either track of the pipelined model — exceeds its structural arrival
-  /// time, so when min_period_ticks >= critical_path_ticks() no captured
-  /// bit can be stale. The stream then computes values only (eval64, or
-  /// CompiledNetlist::eval at n == 1) and records no toggle pairs
-  /// (out.gated).
   void run_stream(State& st, const std::uint8_t* inputs, std::size_t n,
-                  SweepStream& out, std::uint64_t min_period_ticks = 0) const;
+                  SweepStream& out) const;
 
   // --- Convenience single-stream API over an internal State ---
 
@@ -207,8 +196,7 @@ class OverclockSim {
   /// run_stream over the internal State: the register values carry on into
   /// the next step(). It is not a step — the accessors below throw after it
   /// until the next step().
-  void run_stream(const std::uint8_t* inputs, std::size_t n, SweepStream& out,
-                  std::uint64_t min_period_ticks = 0);
+  void run_stream(const std::uint8_t* inputs, std::size_t n, SweepStream& out);
 
   /// Clock edge: apply `inputs`, sample the output register after
   /// `period_ns` — a one-sample full run_stream. Returns the captured
@@ -240,10 +228,9 @@ class OverclockSim {
  private:
   template <bool kRegs>
   void run_lanes(State& st, const std::uint8_t* inputs, std::size_t n,
-                 SweepStream& out, bool gated) const;
+                 SweepStream& out) const;
   template <bool kRegs>
   void walk_one(State& st, const std::uint8_t* inputs, SweepStream& out) const;
-  void eval_one(State& st, const std::uint8_t* inputs, SweepStream& out) const;
 
   Netlist nl_;
   CompiledNetlist cnl_;

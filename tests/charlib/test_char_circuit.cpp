@@ -5,6 +5,7 @@
 #include "charlib/sweep.hpp"
 #include "fabric/calibration.hpp"
 #include "fabric/timing_annotation.hpp"
+#include "golden_checksum.hpp"
 #include "mult/bitcodec.hpp"
 #include "netlist/sta.hpp"
 #include "reference/double_sim.hpp"
@@ -191,6 +192,42 @@ TEST_F(CharCircuitTest, RunMultiValidatesInputs) {
   EXPECT_THROW(
       circuit.run_multi(1, xs, {100.0, circuit.support_fmax_mhz() * 1.1}),
       CheckError);
+}
+
+// At clocks whose shortest jittered period clears the DUT's critical path
+// the slack theorem makes every capture the exact product, so run and
+// run_multi answer from m·x without streaming: zero errors, with the same
+// ClockGen and jitter draws in the same order. The checksum pins every
+// trace field, over array and pipelined Wallace DUTs, to the values the
+// full stream produced before gated points stopped streaming.
+TEST_F(CharCircuitTest, GatedClockTracesAreExactAndUnchanged) {
+  testing_golden::Fnv1a h;
+  const auto mix = [&h](const CharTrace& t) {
+    EXPECT_EQ(t.erroneous, 0u);
+    EXPECT_EQ(t.observed, t.expected);
+    for (std::size_t i = 0; i < t.observed.size(); ++i) {
+      h.mix(t.observed[i]);
+      h.mix(t.expected[i]);
+      h.mix(static_cast<std::uint64_t>(t.error[i]));
+    }
+    h.mix(static_cast<std::uint64_t>(t.erroneous));
+    h.mix(static_cast<std::uint64_t>(t.fsm_cycles));
+  };
+  const std::vector<double> freqs{100.0, 150.0};
+  for (const MultConfig mult :
+       {MultConfig{MultArch::Array, 6, 1}, MultConfig{MultArch::Wallace, 6, 2}}) {
+    cfg_.mult = mult;
+    CharacterisationCircuit circuit(cfg_, device_, reference_location_1());
+    const auto xs = uniform_stream(6, 300, 31);
+    for (const std::uint32_t m : {0u, 1u, 9u, (1u << mult.wordlength) - 1}) {
+      for (const double f : freqs) mix(circuit.run(m, xs, f, m + 3));
+      CharacterisationCircuit::Workspace ws;
+      for (const CharTrace& t : circuit.run_multi(m, xs, freqs, m + 3, &ws))
+        mix(t);
+      EXPECT_TRUE(ws.gated) << mult << " m " << m;
+    }
+  }
+  EXPECT_EQ(h.h, 0x95b6cb98d6bc2225ULL);
 }
 
 TEST(SupportLogic, ShallowAndCorrectShape) {

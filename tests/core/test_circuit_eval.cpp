@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <iterator>
 #include <string>
 #include <utility>
 
@@ -268,94 +270,47 @@ TEST_F(CircuitEvalTest, ProjectBatchJitterIsSeedDeterministic) {
   EXPECT_TRUE(any_diff);  // different seed ⇒ different jitter draws
 }
 
-// Fused references: the settled rows project_batch returns from its own
-// stream pass must equal project_settled() bit for bit, for every column
-// architecture (array, Wallace, CCM, pipelined), batch sizes from the
-// single-lane walk to the 64-lane chunk edges, and empty / full / sparse
-// (unordered, repeated) row selections — at a gated clock and at an
-// over-clocked one. Asking for references must not perturb the outputs.
-TEST_F(CircuitEvalTest, ProjectBatchFusedReferencesMatchProjectSettled) {
+// A circuit whose clock crosses the slack-gate bound between batches, via
+// set_clock with and without derate, on array, Wallace, CCM and depth-2
+// pipelined columns: each multiplier is gated on its own critical path, so
+// batches run all-arithmetic (inline), mixed or all-full. The first batch
+// is gated (its sims were never streamed), single-sample batches and
+// project() land on both sides of the bound, and gated batches are
+// followed by full batches and by project() — each full stream after a
+// gated one runs on the lazily rebuilt register state. Every output must
+// match the scalar double-walk loop and a circuit with the gate off.
+TEST_F(CircuitEvalTest, ProjectBatchSlackGateCrossesTheBoundWithSetClock) {
   const std::vector<double> vals{0.81, -0.62, 0.44, -0.27, 0.93, -0.15};
   LinearProjectionDesign d;
   for (const MultConfig cfg :
        {MultConfig{MultArch::Array, 5, 1}, MultConfig{MultArch::Wallace, 5, 1},
         MultConfig{MultArch::Ccm, 5, 1}, MultConfig{MultArch::Array, 5, 2}})
     d.columns.push_back(make_column(vals, cfg));
-  const std::size_t p = d.dims_p();
-
-  Rng rng(404);
-  std::vector<std::vector<std::uint32_t>> stream(65);
-  for (auto& codes : stream) {
-    codes.resize(p);
-    for (auto& c : codes) c = static_cast<std::uint32_t>(rng.uniform_u64(512));
-  }
-
-  for (const double freq : {150.0, 420.0}) {
-    d.target_freq_mhz = freq;
-    const auto plan = simulated_plan(d, reference_location_1());
-    ProjectionCircuit fused(d, device_, plan, 9, nullptr, 5);
-    ProjectionCircuit plain(d, device_, plan, 9, nullptr, 5);
-    std::size_t offset = 0;
-    for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{63},
-                          std::size_t{64}, std::size_t{65}}) {
-      std::vector<const std::vector<std::uint32_t>*> batch;
-      for (std::size_t i = 0; i < n; ++i)
-        batch.push_back(&stream[(offset + i) % stream.size()]);
-      offset += n;
-      std::vector<std::vector<double>> settled;
-      plain.project_settled(batch, settled);
-
-      std::vector<std::size_t> all(n), sparse;
-      for (std::size_t i = 0; i < n; ++i) all[i] = i;
-      for (std::size_t i = n; i-- > 0;)
-        if (i % 3 == 0) sparse.push_back(i);
-      sparse.push_back(n - 1);  // repeated row
-      for (const auto* rows : {&all, &sparse}) {
-        std::vector<std::vector<double>> ys, want, refs;
-        fused.project_batch(batch, ys, rows, &refs);
-        plain.project_batch(batch, want);
-        const std::string what = "f " + std::to_string(freq) + " n " +
-                                 std::to_string(n) + " rows " +
-                                 std::to_string(rows->size());
-        ASSERT_EQ(ys, want) << what;
-        ASSERT_EQ(refs.size(), rows->size()) << what;
-        for (std::size_t j = 0; j < rows->size(); ++j)
-          ASSERT_EQ(refs[j], settled[(*rows)[j]]) << what << " j " << j;
-      }
-      const std::vector<std::size_t> none;
-      std::vector<std::vector<double>> ys, want, refs(3);
-      fused.project_batch(batch, ys, &none, &refs);
-      plain.project_batch(batch, want);
-      ASSERT_EQ(ys, want);
-      ASSERT_TRUE(refs.empty());
-    }
-    // Both stream kinds fed references: gated at the slow clock, full
-    // when over-clocked.
-    const auto counts = fused.stream_counts();
-    EXPECT_GT(freq < 200.0 ? counts.gated : counts.full, 0u) << freq;
-  }
-}
-
-// A circuit whose clock crosses the slack-gate bound between batches, via
-// set_clock with and without derate: gated and full streams alternate on
-// the same multipliers (register state carried across), and every output
-// must match the scalar double-walk loop and a circuit with the gate off.
-TEST_F(CircuitEvalTest, ProjectBatchSlackGateCrossesTheBoundWithSetClock) {
-  const auto d = design(5, 150.0);
+  d.target_freq_mhz = 150.0;
   const auto plan = simulated_plan(d, reference_location_1());  // jitter ON
   const std::size_t p = d.dims_p();
+  const std::uint64_t kp = d.dims_k() * p;
 
   Rng rng(71);
-  std::vector<std::vector<std::uint32_t>> stream(6 * 64);
+  std::vector<std::vector<std::uint32_t>> stream(1024);
   for (auto& codes : stream) {
     codes.resize(p);
     for (auto& c : codes) c = static_cast<std::uint32_t>(rng.uniform_u64(512));
   }
-  // (nominal MHz, derate) per 64-sample segment: 150 and 150·1.18 sit
-  // below the wl-5 bound, 420 and 250·1.6 above it.
-  const std::pair<double, double> clocks[] = {
-      {150.0, 1.0}, {420.0, 1.0}, {150.0, 1.18},
-      {250.0, 1.6}, {200.0, 1.0}, {420.0, 1.0}};
+  // (samples, nominal MHz, derate, via project()): 150, 200 and 150·1.18
+  // sit below every column's bound, 420 and 250·1.6 above all of them, and
+  // 300 between the Wallace and array bounds.
+  const struct {
+    std::size_t n;
+    double freq, derate;
+    bool scalar;
+  } calls[] = {{64, 150.0, 1.0, false},  {1, 150.0, 1.0, false},
+               {64, 420.0, 1.0, false},  {1, 420.0, 1.0, false},
+               {64, 150.0, 1.18, false}, {1, 420.0, 1.0, true},
+               {64, 250.0, 1.6, false},  {1, 200.0, 1.0, false},
+               {1, 200.0, 1.0, true},    {1, 420.0, 1.0, false},
+               {64, 300.0, 1.0, false},  {65, 200.0, 1.0, false},
+               {1, 300.0, 1.0, true},    {64, 420.0, 1.0, false}};
 
   ref::ScalarProjection seq(d, device_, plan, 9, nullptr, 13);
   ProjectionCircuit gated(d, device_, plan, 9, nullptr, 13);
@@ -364,42 +319,45 @@ TEST_F(CircuitEvalTest, ProjectBatchSlackGateCrossesTheBoundWithSetClock) {
   std::vector<const std::vector<std::uint32_t>*> batch;
   std::vector<std::vector<double>> ys_gated, ys_full;
   std::vector<double> y;
-  for (std::size_t seg = 0; seg < 6; ++seg) {
-    if (seg > 0) {
-      seq.set_clock(clocks[seg].first, clocks[seg].second);
-      gated.set_clock(clocks[seg].first, clocks[seg].second);
-      full.set_clock(clocks[seg].first, clocks[seg].second);
+  std::size_t next = 0, call = 0;
+  for (const auto& c : calls) {
+    if (call > 0) {
+      seq.set_clock(c.freq, c.derate);
+      gated.set_clock(c.freq, c.derate);
+      full.set_clock(c.freq, c.derate);
     }
     batch.clear();
-    for (std::size_t i = 0; i < 64; ++i) batch.push_back(&stream[seg * 64 + i]);
-    gated.project_batch(batch, ys_gated);
-    full.project_batch(batch, ys_full);
-    for (std::size_t i = 0; i < 64; ++i) {
-      seq.project(stream[seg * 64 + i], y);
-      ASSERT_EQ(ys_gated[i], y) << "segment " << seg << " sample " << i;
-      ASSERT_EQ(ys_full[i], y) << "segment " << seg << " sample " << i;
+    for (std::size_t i = 0; i < c.n; ++i) batch.push_back(&stream[next + i]);
+    const auto before = gated.stream_counts();
+    if (c.scalar) {
+      ys_gated.assign(1, gated.project(*batch[0]));
+      ys_full.assign(1, full.project(*batch[0]));
+    } else {
+      gated.project_batch(batch, ys_gated);
+      full.project_batch(batch, ys_full);
     }
+    for (std::size_t i = 0; i < c.n; ++i) {
+      seq.project(stream[next + i], y);
+      ASSERT_EQ(ys_gated[i], y) << "call " << call << " sample " << i;
+      ASSERT_EQ(ys_full[i], y) << "call " << call << " sample " << i;
+    }
+    const auto after = gated.stream_counts();
+    if (call == 0) {  // the first batch ran no stream at all
+      EXPECT_EQ(after.full, 0u);
+    }
+    if (c.freq == 300.0) {  // mixed: Wallace gated, array streamed
+      EXPECT_GT(after.gated - before.gated, 0u) << "call " << call;
+      EXPECT_GT(after.full - before.full, 0u) << "call " << call;
+    }
+    next += c.n;
+    ++call;
   }
-  const std::uint64_t kp = d.dims_k() * d.dims_p();
-  EXPECT_EQ(gated.stream_counts().gated + gated.stream_counts().full, 6 * kp);
-  EXPECT_GE(gated.stream_counts().gated, 3 * kp);  // the three slow segments
-  EXPECT_GT(gated.stream_counts().full, 0u);
+  const std::uint64_t all = kp * std::size(calls);
+  EXPECT_EQ(gated.stream_counts().gated + gated.stream_counts().full, all);
+  EXPECT_GE(gated.stream_counts().gated, 6 * kp);  // the six slow calls
+  EXPECT_GE(gated.stream_counts().full, 6 * kp);   // the six fast ones
   EXPECT_EQ(full.stream_counts().gated, 0u);
-  EXPECT_EQ(full.stream_counts().full, 6 * kp);
-}
-
-TEST_F(CircuitEvalTest, ProjectBatchReferenceRowsAreValidated) {
-  const auto d = design(5, 310.0);
-  const auto plan = simulated_plan(d, reference_location_1());
-  ProjectionCircuit circuit(d, device_, plan, 9, nullptr, 1);
-  const std::vector<std::uint32_t> codes(d.dims_p(), 3);
-  std::vector<std::vector<double>> ys, refs;
-  const std::vector<std::size_t> out_of_range{2};
-  EXPECT_THROW(circuit.project_batch({&codes, &codes}, ys, &out_of_range, &refs),
-               CheckError);
-  const std::vector<std::size_t> first{0};
-  EXPECT_THROW(circuit.project_batch({&codes, &codes}, ys, &first, nullptr),
-               CheckError);
+  EXPECT_EQ(full.stream_counts().full, all);
 }
 
 TEST_F(CircuitEvalTest, ProjectBatchValidatesInputs) {
@@ -410,6 +368,80 @@ TEST_F(CircuitEvalTest, ProjectBatchValidatesInputs) {
   const std::vector<std::uint32_t> short_codes{1, 2, 3};
   EXPECT_THROW(circuit.project_batch({&short_codes}, ys), CheckError);
   EXPECT_THROW(circuit.project_batch({nullptr}, ys), CheckError);
+}
+
+// Every entry point checks every code against the wl_x-bit input port
+// before any work: a gated multiplier multiplies the whole code while a
+// full stream keeps only its low wl_x bits, so an out-of-range request
+// would otherwise be answered differently on either side of the bound.
+// The error names the row and the input.
+std::string check_message(const std::function<void()>& call) {
+  try {
+    call();
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "(no CheckError)";
+}
+
+TEST_F(CircuitEvalTest, ProjectBatchRejectsCodesWiderThanWlX) {
+  const auto d = design(8, 420.0);  // full streams: every clock draw shows
+  const auto plan = simulated_plan(d, reference_location_1());
+  ProjectionCircuit circuit(d, device_, plan, 9, nullptr, 1);
+  ProjectionCircuit twin(d, device_, plan, 9, nullptr, 1);
+  const std::vector<std::uint32_t> ok(d.dims_p(), 511), wide{1, 2, 512, 4, 5, 6},
+      short_codes{1, 2, 3};
+  std::vector<std::vector<double>> ys, want;
+  EXPECT_NE(check_message([&] { circuit.project_batch({&ok, &wide}, ys); })
+                .find("row 1, input 2: code 512 out of range for wl_x=9"),
+            std::string::npos);
+  EXPECT_NE(check_message([&] { circuit.project_batch({&ok, &short_codes}, ys); })
+                .find("row 1 has 3 codes for a P=6 design"),
+            std::string::npos);
+  // A rejected batch draws no clock and moves no register: the next batch
+  // is the one a fresh twin serves.
+  Rng rng(5);
+  std::vector<std::vector<std::uint32_t>> stream(64);
+  std::vector<const std::vector<std::uint32_t>*> batch;
+  for (auto& codes : stream) {
+    codes.resize(d.dims_p());
+    for (auto& c : codes) c = static_cast<std::uint32_t>(rng.uniform_u64(512));
+    batch.push_back(&codes);
+  }
+  circuit.project_batch(batch, ys);
+  twin.project_batch(batch, want);
+  EXPECT_EQ(ys, want);
+  EXPECT_EQ(circuit.stream_counts().full, twin.stream_counts().full);
+}
+
+TEST_F(CircuitEvalTest, ProjectSettledRejectsCodesWiderThanWlX) {
+  const auto d = design(5, 150.0);
+  const auto plan = simulated_plan(d, reference_location_1());
+  const ProjectionCircuit circuit(d, device_, plan, 9, nullptr, 1);
+  const std::vector<std::uint32_t> ok(d.dims_p(), 3), wide{1, 2, 3, 4, 5, 1u << 20},
+      long_codes(d.dims_p() + 1, 1);
+  std::vector<std::vector<double>> ys;
+  EXPECT_NE(check_message([&] { circuit.project_settled({&ok, &ok, &wide}, ys); })
+                .find("row 2, input 5: code 1048576 out of range for wl_x=9"),
+            std::string::npos);
+  EXPECT_NE(check_message([&] { circuit.project_settled({&long_codes}, ys); })
+                .find("row 0 has 7 codes for a P=6 design"),
+            std::string::npos);
+  EXPECT_THROW(circuit.project_settled({nullptr}, ys), CheckError);
+}
+
+TEST_F(CircuitEvalTest, ProjectExactRejectsCodesWiderThanWlX) {
+  const auto d = design(5, 150.0);
+  const auto plan = simulated_plan(d, reference_location_1());
+  const ProjectionCircuit circuit(d, device_, plan, 9, nullptr, 1);
+  EXPECT_NE(check_message([&] { circuit.project_exact({600, 1, 2, 3, 4, 5}); })
+                .find("row 0, input 0: code 600 out of range for wl_x=9"),
+            std::string::npos);
+  // A short vector used to be read past its end.
+  EXPECT_NE(check_message([&] { circuit.project_exact({1, 2}); })
+                .find("row 0 has 2 codes for a P=6 design"),
+            std::string::npos);
+  EXPECT_EQ(circuit.project_exact({511, 0, 0, 0, 0, 0}).size(), 3u);
 }
 
 TEST_F(CircuitEvalTest, PlanSizeMismatchThrows) {
