@@ -13,11 +13,13 @@
 //  3. the slack gate — batch-64 samples/sec of project_batch with the
 //     gate on against the same circuit forced to run every multiplier
 //     stream in full (ProjectionCircuit::set_slack_gate), at a clock
-//     below the multipliers' critical path, with a bitwise checksum;
+//     whose shortest drawable period clears the multipliers' critical
+//     path, with a bitwise checksum;
 //  4. the degradation trace: a temperature-derate step injected mid-run,
 //     the sampled safe-frequency checks catching the error-rate breach,
 //     the FrequencyGovernor stepping the clock down to the characterised
-//     floor and re-ramping after recovery.
+//     floor and re-ramping after recovery, written as the server's
+//     metrics snapshot (ServeMetrics::Snapshot::to_json).
 //
 // Results go to BENCH_serve.json so successive PRs can track the serving
 // trajectory mechanically. `--smoke` shrinks the load for CI.
@@ -335,11 +337,14 @@ struct SlackGate {
 };
 
 // Slack-gate section: the batch-scaling design at its 150 MHz clock, whose
-// period clears every multiplier's structural critical path, served in
-// batches of 64 through two circuits with the same clock seed — one with
-// the gate on (every multiplier exact arithmetic, no stream), one forced to
-// run every stream in full. The gate may only move the speed: every output
-// must agree bit for bit.
+// shortest drawable period (the −4σ clamp) clears every multiplier's
+// structural critical path, served in batches of 64 through two circuits
+// with the same clock seed — one with the gate on, one forced to run every
+// stream in full. The gated circuit is gated at every period its clock can
+// draw, so it draws no jitter at all and every term is exact arithmetic;
+// the full one draws every period and captures every stream. The gate may
+// only move the speed: every output must agree bit for bit, so
+// slack_gate_checksum_match witnesses that the skipped draws move no bit.
 SlackGate run_slack_gate(bool smoke) {
   const auto design = serve_design(150.0);
   const Device device = make_device();
@@ -523,26 +528,7 @@ void write_json(const char* path, bool smoke,
      << "    \"f_target_mhz\": " << trace.f_target_mhz << ",\n"
      << "    \"f_floor_mhz\": " << trace.f_floor_mhz << ",\n"
      << "    \"hot_derate\": " << trace.hot_derate << ",\n"
-     << "    \"served\": " << trace.snap.served << ",\n"
-     << "    \"latency_overflow\": " << trace.snap.latency_overflow << ",\n"
-     << "    \"design_generation\": " << trace.snap.design_generation << ",\n"
-     << "    \"swaps_committed\": " << trace.snap.swaps_committed << ",\n"
-     << "    \"swaps_aborted\": " << trace.snap.swaps_aborted << ",\n"
-     << "    \"swap_latency_ns\": " << trace.snap.swap_latency_ns << ",\n"
-     << "    \"shadow_compared\": " << trace.snap.shadow_compared << ",\n"
-     << "    \"shadow_mismatch\": " << trace.snap.shadow_mismatch << ",\n"
-     << "    \"checks\": " << trace.snap.checks << ",\n"
-     << "    \"check_errors\": " << trace.snap.check_errors << ",\n"
-     << "    \"window_error_rates\": [";
-  for (std::size_t i = 0; i < trace.snap.window_error_rates.size(); ++i)
-    os << (i ? ", " : "") << trace.snap.window_error_rates[i];
-  os << "],\n    \"frequency_timeline\": [";
-  for (std::size_t i = 0; i < trace.snap.frequency_timeline.size(); ++i)
-    os << (i ? ", " : "") << "{\"at_served\": "
-       << trace.snap.frequency_timeline[i].at_served
-       << ", \"freq_mhz\": " << trace.snap.frequency_timeline[i].freq_mhz
-       << "}";
-  os << "]\n  }\n}\n";
+     << "    \"snapshot\": " << trace.snap.to_json() << "  }\n}\n";
 }
 
 }  // namespace

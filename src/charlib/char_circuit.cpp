@@ -120,15 +120,20 @@ CharacterisationCircuit::CharacterisationCircuit(const CharCircuitConfig& cfg,
 
   // Worst case over the lowered circuits (one for the generic
   // architectures, per-constant for CCM): the rig must be safe for every
-  // multiplicand it streams.
+  // multiplicand it streams. A DUT with no timing path — the CCM cell of a
+  // constant whose product is plain wiring, m = 0 in particular — can
+  // never be late, so it bounds neither Fmax.
   dut_tool_fmax_mhz_ = std::numeric_limits<double>::infinity();
   dut_device_fmax_mhz_ = std::numeric_limits<double>::infinity();
   for (const OverclockSim& sim : sims_) {
-    dut_tool_fmax_mhz_ = std::min(
-        dut_tool_fmax_mhz_, tool_fmax_mhz(sim.netlist(), device.config()));
-    dut_device_fmax_mhz_ = std::min(
-        dut_device_fmax_mhz_,
-        fmax_mhz(device_critical_path_ns(sim.netlist(), device, placement)));
+    const Netlist& nl = sim.netlist();
+    const double tool_ns =
+        static_timing(nl, tool_timing(nl, device.config())).critical_path_ns;
+    const double device_ns = device_critical_path_ns(nl, device, placement);
+    if (tool_ns > 0.0)
+      dut_tool_fmax_mhz_ = std::min(dut_tool_fmax_mhz_, fmax_mhz(tool_ns));
+    if (device_ns > 0.0)
+      dut_device_fmax_mhz_ = std::min(dut_device_fmax_mhz_, fmax_mhz(device_ns));
   }
 
   // The supporting modules live next to the DUT; their placement is part of

@@ -81,10 +81,12 @@ class CharacterisationCircuit {
   const Netlist& dut(std::uint32_t m = 0) const { return sim_for(m).netlist(); }
 
   /// Conservative Fmax of the DUT as the synthesis tool reports (fA);
-  /// worst case over the per-constant circuits for CCM.
+  /// worst case over the per-constant circuits for CCM (a constant whose
+  /// cell has no timing path, such as m = 0, cannot be late and is left
+  /// out).
   double dut_tool_fmax_mhz() const { return dut_tool_fmax_mhz_; }
   /// Device-view zero-slack Fmax of the DUT at this placement (no margin);
-  /// worst case over the per-constant circuits for CCM.
+  /// worst case over the per-constant circuits for CCM, as above.
   double dut_device_fmax_mhz() const { return dut_device_fmax_mhz_; }
   /// Device-view Fmax of the supporting FSM/BRAM logic.
   double support_fmax_mhz() const { return support_fmax_mhz_; }

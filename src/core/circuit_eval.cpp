@@ -18,14 +18,6 @@ namespace {
 
 constexpr double kRidge = 1e-10;
 
-// One multiplier's settled product as a signed, scaled term. Exact: the
-// product is below 2^53 and the scale a power of two, so it is bitwise
-// what a capture of the settled word contributes.
-double exact_term(int sign, std::uint32_t magnitude, std::uint32_t x,
-                  double inv_scale) {
-  return sign * static_cast<double>(std::uint64_t{magnitude} * x) * inv_scale;
-}
-
 }  // namespace
 
 CircuitPlan simulated_plan(const LinearProjectionDesign& design,
@@ -87,9 +79,15 @@ ProjectionCircuit::ProjectionCircuit(const LinearProjectionDesign& design,
                              << k * p << " multipliers");
 
   sims_.reserve(k * p);
+  terms_.reserve(k * p);
   for (std::size_t kk = 0; kk < k; ++kk) {
     const DesignColumn& col = design.columns[kk];
+    // 2^-(wl + wl_x) is exact, so multiplying by it matches a division by
+    // the scale bit for bit, and the sign only flips the sign bit.
+    const double inv_scale = std::ldexp(1.0, -(col.wordlength() + wl_x));
     for (std::size_t pp = 0; pp < p; ++pp) {
+      terms_.push_back({col.coeffs[pp].magnitude,
+                        col.coeffs[pp].sign * inv_scale});
       const auto& place = plan.mult_placements[kk * p + pp];
       // A CCM column bakes the coefficient into the netlist (only the x
       // port remains an input), so the lowering is per-constant: any
@@ -104,6 +102,8 @@ ProjectionCircuit::ProjectionCircuit(const LinearProjectionDesign& design,
       auto delays = annotate_timing(nl, device, place);
       sims_.push_back(
           std::make_unique<OverclockSim>(std::move(nl), std::move(delays)));
+      max_critical_ticks_ =
+          std::max(max_critical_ticks_, sims_.back()->critical_path_ticks());
     }
   }
   // Every register starts flushed to the zero operand, settled lazily by
@@ -111,6 +111,25 @@ ProjectionCircuit::ProjectionCircuit(const LinearProjectionDesign& design,
   last_x_.assign(p, 0);
   sim_synced_.assign(k * p, 0);
   recompute_mean_correction();
+  update_clock_gate();
+}
+
+bool ProjectionCircuit::gated_at_every_period(std::uint64_t critical_path_ticks,
+                                              double min_period_ns) {
+  return critical_path_ticks <= PsGrid::period_ticks(min_period_ns);
+}
+
+void ProjectionCircuit::update_clock_gate() {
+  // Every period the clock draws is ≥ min_period_ns() and period_ticks is
+  // monotone, so a largest critical path within its threshold gates every
+  // multiplier of every batch until the clock or the gate changes.
+  clock_gated_ = slack_gate_ && gated_at_every_period(max_critical_ticks_,
+                                                      clock_.min_period_ns());
+}
+
+void ProjectionCircuit::set_slack_gate(bool enabled) {
+  slack_gate_ = enabled;
+  update_clock_gate();
 }
 
 void ProjectionCircuit::recompute_mean_correction() {
@@ -167,6 +186,7 @@ void ProjectionCircuit::set_clock(double freq_mhz, double timing_derate) {
                     hash_mix(clock_seed_, 0xC10C5E7ULL,
                              static_cast<std::uint64_t>(++retargets_)));
   recompute_mean_correction();
+  update_clock_gate();
 }
 
 void ProjectionCircuit::project(const std::vector<std::uint32_t>& x_codes,
@@ -206,56 +226,53 @@ void ProjectionCircuit::project_batch(
   ys.resize(n);
   if (n == 0) return;
 
-  // All multipliers share the mult_clk domain; one jittered period per
-  // edge, drawn in sample order — the exact draw sequence a per-sample
-  // loop would consume, so batch boundaries never move a clock. The
-  // integer capture threshold ⌊period·2^10⌋ is converted once per sample
-  // here instead of once per (multiplier, sample) in the capture loop;
-  // the conversion is exact for arbitrary jittered periods (see PsGrid),
-  // so tick capture matches the double rule bitwise.
-  periods_.resize(n);
-  periods_ticks_.resize(n);
-  std::uint64_t min_ticks = ~std::uint64_t{0};
-  for (std::size_t s = 0; s < n; ++s) {
-    periods_[s] = clock_.next_period_ns();
-    periods_ticks_[s] = PsGrid::period_ticks(periods_[s]);
-    min_ticks = std::min(min_ticks, periods_ticks_[s]);
-  }
-
-  // The slack gate, per multiplier: no sample of this batch is captured
-  // sooner than min_ticks, so a critical path within it proves every
-  // capture settled and the multiplier's terms are exact arithmetic.
   const std::size_t kp = k * p;
   stream_gated_.resize(kp);
   bool any_full = false;
-  for (std::size_t m = 0; m < kp; ++m) {
-    stream_gated_[m] =
-        slack_gate_ && min_ticks >= sims_[m]->critical_path_ticks();
-    any_full |= stream_gated_[m] == 0;
+  if (clock_gated_) {
+    // The per-clock gate: every multiplier's critical path fits the
+    // shortest period this clock can draw, so every capture is its settled
+    // word whatever is drawn, and none is. The skipped draws are
+    // unobservable: set_clock reseeds from the retarget count, not the
+    // stream position, and periods drawn later at this clock (gate turned
+    // off) clear every critical path all the same (DESIGN.md §12).
+    std::fill(stream_gated_.begin(), stream_gated_.end(), 1);
+  } else {
+    // All multipliers share the mult_clk domain; one jittered period per
+    // edge, drawn in sample order — the exact draw sequence a per-sample
+    // loop would consume, so batch boundaries never move a clock. The
+    // integer capture threshold ⌊period·2^10⌋ is converted once per
+    // sample here instead of once per (multiplier, sample) in the capture
+    // loop; the conversion is exact for arbitrary jittered periods (see
+    // PsGrid), so tick capture matches the double rule bitwise.
+    periods_ticks_.resize(n);
+    std::uint64_t min_ticks = ~std::uint64_t{0};
+    for (std::size_t s = 0; s < n; ++s) {
+      periods_ticks_[s] = PsGrid::period_ticks(clock_.next_period_ns());
+      min_ticks = std::min(min_ticks, periods_ticks_[s]);
+    }
+    // The per-batch gate, per multiplier: no sample of this batch is
+    // captured sooner than min_ticks, so a critical path within it proves
+    // every capture settled and the multiplier's terms are exact
+    // arithmetic.
+    for (std::size_t m = 0; m < kp; ++m) {
+      stream_gated_[m] =
+          slack_gate_ && min_ticks >= sims_[m]->critical_path_ticks();
+      any_full |= stream_gated_[m] == 0;
+    }
   }
-  contrib_.resize(kp * n);
 
-  // Each chunk of the K·P independent multipliers owns a reusable
-  // workspace; each multiplier's register state lives in its sim, so the
-  // chunk → multiplier mapping never affects results and the reduction
-  // below is a fixed-order serial sum.
+  // Full streams only: each chunk of the K·P independent multipliers owns
+  // a reusable workspace; each multiplier's register state lives in its
+  // sim, so the chunk → multiplier mapping never affects results and the
+  // reduction below is a fixed-order serial sum.
   const auto run_chunk = [&](std::size_t m0, std::size_t m1,
                              std::size_t chunk) {
     for (std::size_t m = m0; m < m1; ++m) {
+      if (stream_gated_[m]) continue;
       const std::size_t kk = m / p, pp = m % p;
       const DesignColumn& col = design_.columns[kk];
-      // 1/2^(wl + wl_x) is exact, so the multiply matches a division by
-      // the scale bit for bit.
-      const double inv_scale = std::ldexp(1.0, -(col.wordlength() + wl_x_));
-      const int sign = col.coeffs[pp].sign;
-      const std::uint32_t mag = col.coeffs[pp].magnitude;
-      double* c = contrib_.data() + m * n;
-      if (stream_gated_[m]) {
-        for (std::size_t s = 0; s < n; ++s)
-          c[s] = exact_term(sign, mag, (*batch[s])[pp], inv_scale);
-        continue;
-      }
-
+      const std::uint32_t mag = terms_[m].magnitude;
       BatchWorkspace& ws = batch_ws_.at(chunk);
       OverclockSim& sim = *sims_[m];
       // CCM netlists expose only the x port (the constant is baked in).
@@ -285,22 +302,26 @@ void ProjectionCircuit::project_batch(
       sim.run_stream(ws.inputs.data(), n, ws.stream);
       // Per-sample signed, scaled product, captured through unsigned tick
       // compares against the pre-converted thresholds.
-      for (std::size_t s = 0; s < n; ++s) {
-        const double product = static_cast<double>(
-            ws.stream.capture_word_ticks(s, periods_ticks_[s]));
-        c[s] = sign * product * inv_scale;
-      }
+      const double scale = terms_[m].scale;
+      double* c = contrib_.data() + m * n;
+      for (std::size_t s = 0; s < n; ++s)
+        c[s] = static_cast<double>(
+                   ws.stream.capture_word_ticks(s, periods_ticks_[s])) *
+               scale;
     }
   };
-  // A single sample has nothing to amortise a fan-out over, and a batch
-  // of arithmetic alone has nothing worth one: both run inline. Batches
-  // with a full stream distribute their multipliers per the policy.
-  if (n == 1 || !any_full) {
-    batch_ws_.ensure(1);
-    run_chunk(0, kp, 0);
-  } else {
-    batch_ws_.ensure(exec_.num_chunks(kp));
-    exec_.for_chunks(0, kp, run_chunk);
+  // A single sample has nothing to amortise a fan-out over: it runs
+  // inline. Batches with more distribute their full streams per the
+  // policy; a batch of arithmetic alone has no stream to run.
+  if (any_full) {
+    contrib_.resize(kp * n);
+    if (n == 1) {
+      batch_ws_.ensure(1);
+      run_chunk(0, kp, 0);
+    } else {
+      batch_ws_.ensure(exec_.num_chunks(kp));
+      exec_.for_chunks(0, kp, run_chunk);
+    }
   }
   for (std::size_t m = 0; m < kp; ++m) {
     ++(stream_gated_[m] ? streams_.gated : streams_.full);
@@ -309,29 +330,31 @@ void ProjectionCircuit::project_batch(
   last_x_ = *batch[n - 1];
 
   // Serial reduction in a fixed accumulation order (pp ascending per
-  // output dimension, correction last): floating-point addition order is
-  // what makes a batch bitwise-identical to the same samples one by one.
+  // output dimension from 0.0, correction last): floating-point addition
+  // order is what makes a batch bitwise-identical to the same samples one
+  // by one. Gated terms are computed here, where they are summed.
   for (std::size_t s = 0; s < n; ++s) {
-    ys[s].resize(k);
+    const std::uint32_t* x = batch[s]->data();
+    std::vector<double>& y = ys[s];
+    y.resize(k);
     for (std::size_t kk = 0; kk < k; ++kk) {
       double acc = 0.0;
-      for (std::size_t pp = 0; pp < p; ++pp)
-        acc += contrib_[(kk * p + pp) * n + s];
-      ys[s][kk] = acc - mean_correction_[kk];
+      for (std::size_t pp = 0; pp < p; ++pp) {
+        const std::size_t m = kk * p + pp;
+        acc += stream_gated_[m] ? exact_term(m, x[pp]) : contrib_[m * n + s];
+      }
+      y[kk] = acc - mean_correction_[kk];
     }
   }
 }
 
 void ProjectionCircuit::exact_row(const std::vector<std::uint32_t>& x,
                                   std::vector<double>& y) const {
+  const std::size_t p = dims_p();
   y.resize(dims_k());
   for (std::size_t kk = 0; kk < dims_k(); ++kk) {
-    const DesignColumn& col = design_.columns[kk];
-    const double inv_scale = std::ldexp(1.0, -(col.wordlength() + wl_x_));
     double acc = 0.0;
-    for (std::size_t pp = 0; pp < dims_p(); ++pp)
-      acc += exact_term(col.coeffs[pp].sign, col.coeffs[pp].magnitude, x[pp],
-                        inv_scale);
+    for (std::size_t pp = 0; pp < p; ++pp) acc += exact_term(kk * p + pp, x[pp]);
     y[kk] = acc;
   }
 }

@@ -72,22 +72,25 @@ class ProjectionCircuit {
   /// each sample at its own jittered period — pre-converted once to PsGrid
   /// ticks — via the O(toggled) branch-poor unsigned-compare sampling
   /// rule. Bitwise identical to projecting the samples one at a time in
-  /// order — including the per-sample ClockGen jitter draw order (same
-  /// clock_seed ⇒ same clocks) and the sign/mean-correction accumulation
-  /// order — and freely interleavable with project()/set_clock() (the
-  /// multiplier register state carries across). Every sample is checked
-  /// first: a CheckError names the row and input of a wrong-length vector
-  /// or a code of wl_x bits or more. No steady-state allocation beyond
-  /// `ys`, which is resized to batch.size() rows of K entries; rows keep
-  /// their capacity across calls.
+  /// order — including the per-sample ClockGen jitter draw order wherever
+  /// a capture reads the period (same clock_seed ⇒ same clocks) and the
+  /// sign/mean-correction accumulation order — and freely interleavable
+  /// with project()/set_clock() (the multiplier register state carries
+  /// across). Every sample is checked first: a CheckError names the row
+  /// and input of a wrong-length vector or a code of wl_x bits or more. No
+  /// steady-state allocation beyond `ys`, which is resized to batch.size()
+  /// rows of K entries; rows keep their capacity across calls.
   ///
   /// Slack gate: a multiplier whose structural critical path fits the
   /// batch's shortest jittered period cannot capture a stale bit (the
   /// slack theorem, DESIGN.md §12), so it runs no stream: each sample
-  /// contributes sign·(magnitude·x)·2^-(wl+wl_x), bitwise what its settled
-  /// capture would. Its sim is rebuilt lazily — reset() to the last code
-  /// it saw, exactly the state a full stream would have left — before its
-  /// next full stream. A batch in which every multiplier is gated, and any
+  /// contributes (magnitude·x)·sign·2^-(wl+wl_x), bitwise what its settled
+  /// capture would, computed where the reduction sums it. Its sim is
+  /// rebuilt lazily — reset() to the last code it saw, exactly the state a
+  /// full stream would have left — before its next full stream. When every
+  /// multiplier is gated at the shortest period the clock can draw at all
+  /// (gated_at_every_period), the batch draws no period: no capture would
+  /// read one. A batch in which every multiplier is gated, and any
   /// single-sample batch, runs inline on the calling thread; otherwise the
   /// K·P multipliers are distributed per the circuit's ExecPolicy
   /// (default: pinned, one chunk per worker) with per-chunk reusable
@@ -95,6 +98,15 @@ class ProjectionCircuit {
   /// kinds apart.
   void project_batch(const std::vector<const std::vector<std::uint32_t>*>& batch,
                      std::vector<std::vector<double>>& ys);
+
+  /// The per-clock gate: a multiplier whose critical path is at most the
+  /// tick threshold of `min_period_ns` captures its settled word at every
+  /// period of at least that length (inclusive, as the per-batch gate).
+  /// Pure; the circuit asks it of its largest critical path and its
+  /// clock's ClockGen::min_period_ns() at construction, set_clock and
+  /// set_slack_gate.
+  static bool gated_at_every_period(std::uint64_t critical_path_ticks,
+                                    double min_period_ns);
 
   /// Multiplier streams project_batch (and so project()) answered by the
   /// slack gate's arithmetic vs ran in full, since construction.
@@ -107,7 +119,7 @@ class ProjectionCircuit {
   /// Test and bench hook: with the gate off, project_batch runs every
   /// multiplier stream in full. Results are identical either way; only
   /// the speed (and stream_counts()) moves.
-  void set_slack_gate(bool enabled) { slack_gate_ = enabled; }
+  void set_slack_gate(bool enabled);
 
   /// Replace the policy project_batch distributes multiplier streams
   /// with. Any policy/chunking produces bitwise-identical projections
@@ -156,10 +168,20 @@ class ProjectionCircuit {
 
  private:
   void recompute_mean_correction();
+  /// Re-decide the per-clock gate for the current clock and gate setting.
+  void update_clock_gate();
   /// Throws unless `x` is P codes, each below 2^wl_x (naming `row`).
   void check_codes(const std::vector<std::uint32_t>* x, std::size_t row) const;
   /// project_exact into a caller buffer.
   void exact_row(const std::vector<std::uint32_t>& x, std::vector<double>& y) const;
+
+  /// Multiplier m's settled product with operand `x` as a signed, scaled
+  /// term. Exact: the product is below 2^53 and the scale ±2^-(wl+wl_x),
+  /// so it is bitwise what a capture of the settled word contributes.
+  double exact_term(std::size_t m, std::uint32_t x) const {
+    return static_cast<double>(std::uint64_t{terms_[m].magnitude} * x) *
+           terms_[m].scale;
+  }
 
   /// project_batch worker scratch: one per shard of the K·P multiplier
   /// range, reused across batches.
@@ -181,7 +203,15 @@ class ProjectionCircuit {
   int wl_x_;
   const ErrorModelMap* models_;                      ///< may be nullptr
   std::vector<std::unique_ptr<OverclockSim>> sims_;  ///< K·P, column-major
-  std::vector<double> mean_correction_;              ///< per (k): Σ_p sign·mean
+  /// Per multiplier: its coefficient magnitude and signed scale
+  /// sign·2^-(wl+wl_x) (±1 times a power of two, so exact).
+  struct Term {
+    std::uint32_t magnitude;
+    double scale;
+  };
+  std::vector<Term> terms_;
+  std::uint64_t max_critical_ticks_ = 0;  ///< over every multiplier
+  std::vector<double> mean_correction_;   ///< per (k): Σ_p sign·mean
   double freq_mhz_;
   double jitter_sigma_ns_;
   std::uint64_t clock_seed_;
@@ -196,12 +226,14 @@ class ProjectionCircuit {
   /// from construction and after a gated batch, until the next reset()).
   std::vector<std::uint8_t> sim_synced_;
   // project_batch scratch, reused across batches.
-  std::vector<double> periods_;             ///< per-sample jittered periods
-  std::vector<std::uint64_t> periods_ticks_;  ///< the same, as PsGrid ticks
-  std::vector<double> contrib_;             ///< K·P × n per-multiplier terms
+  std::vector<std::uint64_t> periods_ticks_;  ///< jittered periods, in ticks
+  std::vector<double> contrib_;  ///< K·P × n captured terms, full streams only
   std::vector<std::uint8_t> stream_gated_;  ///< per multiplier, this batch
   StreamCounts streams_;
   bool slack_gate_ = true;
+  /// Every multiplier is gated at every period the current clock can
+  /// draw (and the gate is on): batches draw no period.
+  bool clock_gated_ = false;
   ChunkArena<BatchWorkspace> batch_ws_;     ///< one stable slot per chunk
   /// Stream-distribution policy. One chunk per worker mirrors the shard
   /// count the hand-rolled fan-out used (multiplier streams are uniform,

@@ -32,13 +32,24 @@ class ClockGen {
   double next_period_ns() {
     if (jitter_sigma_ns_ == 0.0) return nominal_period_ns_;
     double j = rng_.normal(0.0, jitter_sigma_ns_);
-    const double lim = 4.0 * jitter_sigma_ns_;
+    const double lim = jitter_limit_ns();
     if (j > lim) j = lim;
     if (j < -lim) j = -lim;
     return nominal_period_ns_ + j;
   }
 
+  /// The shortest period next_period_ns() can return: the clamped draw
+  /// −4σ through the same double expression, so it is reached exactly, and
+  /// every other draw is at least it (rounding is monotone). The nominal
+  /// period when σ = 0. Draws no jitter.
+  double min_period_ns() const {
+    if (jitter_sigma_ns_ == 0.0) return nominal_period_ns_;
+    return nominal_period_ns_ + -jitter_limit_ns();
+  }
+
  private:
+  double jitter_limit_ns() const { return 4.0 * jitter_sigma_ns_; }
+
   double nominal_period_ns_;
   double jitter_sigma_ns_;
   Rng rng_;

@@ -107,7 +107,10 @@ void ProjectionServer::resume() {
 
 void ProjectionServer::wait_idle() {
   std::unique_lock lock(queue_mutex_);
-  idle_cv_.wait(lock, [&] { return queue_.empty() && inflight_batches_ == 0; });
+  idle_cv_.wait(lock, [&] {
+    return queue_.empty() &&
+           inflight_batches_.load(std::memory_order_acquire) == 0;
+  });
 }
 
 void ProjectionServer::stop() {
@@ -295,7 +298,9 @@ void ProjectionServer::dispatcher_loop() {
         queue_.pop_front();
       }
       metrics_.queue_depth_sample(queue_.size());
-      ++inflight_batches_;
+      // Counted under the lock that empties the queue, so wait_idle never
+      // sees an empty queue without the batch in flight.
+      inflight_batches_.fetch_add(1, std::memory_order_relaxed);
     }
     pool_.submit(
         [this, b = std::make_shared<std::vector<Pending>>(std::move(batch))] {
@@ -365,8 +370,7 @@ void ProjectionServer::process_batch(std::vector<Pending>&& batch) {
   // per-request loop bit for bit; with several workers, checks from other
   // replicas may shift a window boundary — a scheduling race the
   // per-request loop had as well.
-  std::vector<double> latencies;
-  latencies.reserve(batch.size());
+  rep->latencies.clear();
   const std::shared_ptr<ShadowTap> shadow = current_shadow();
   std::vector<std::uint64_t> shadow_ids;  // per-segment mirrored request ids
   const std::size_t window = governor_.config().window_checks;
@@ -402,6 +406,8 @@ void ProjectionServer::process_batch(std::vector<Pending>&& batch) {
     }
     const auto streams_before = rep->serve.stream_counts();
     rep->serve.project_batch(rep->batch_inputs, rep->batch_ys);
+    // One completion instant per segment: its outputs are all ready now.
+    const auto ready = Clock::now();
     rep->serve.project_settled(rep->check_inputs, rep->check_refs);
     const auto streams_after = rep->serve.stream_counts();
     metrics_.on_streams(streams_after.gated - streams_before.gated,
@@ -440,8 +446,8 @@ void ProjectionServer::process_batch(std::vector<Pending>&& batch) {
                   decision.action == FrequencyGovernor::Action::StepUp);
       }
 
-      res.latency_ms = to_ms(Clock::now() - pending.enqueued);
-      latencies.push_back(res.latency_ms);
+      res.latency_ms = to_ms(ready - pending.enqueued);
+      rep->latencies.push_back(res.latency_ms);
       metrics_.on_served();
       if (on_result_) on_result_(res);
     }
@@ -458,7 +464,7 @@ void ProjectionServer::process_batch(std::vector<Pending>&& batch) {
     }
     seg_begin = seg_end;
   }
-  metrics_.on_batch(batch.size(), latencies);
+  metrics_.on_batch(batch.size(), rep->latencies);
 
   {
     std::lock_guard lock(replica_mutex_);
@@ -469,11 +475,13 @@ void ProjectionServer::process_batch(std::vector<Pending>&& batch) {
   }
   replica_cv_.notify_all();
   destroy.clear();
-  {
+  // The batch is done (every callback has returned). Only the last one in
+  // flight takes the queue lock, so a wait_idle() that just saw a non-zero
+  // count is already blocked when the notify lands.
+  if (inflight_batches_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     std::lock_guard lock(queue_mutex_);
-    --inflight_batches_;
+    idle_cv_.notify_all();
   }
-  idle_cv_.notify_all();
 }
 
 }  // namespace oclp

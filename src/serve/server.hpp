@@ -82,7 +82,10 @@ struct ServeResult {
   double freq_mhz = 0.0;       ///< governor frequency it was served at
   bool checked = false;        ///< went through the safe-frequency duplicate
   bool check_error = false;    ///< duplicate disagreed (timing error)
-  double latency_ms = 0.0;     ///< submit → served
+  /// submit → outputs ready: every request of a served segment shares
+  /// one timestamp, taken when its projection returns (before the check
+  /// and the callback).
+  double latency_ms = 0.0;
 };
 
 struct ServeConfig {
@@ -211,7 +214,8 @@ class ProjectionServer {
     // process_batch scratch, reused across batches (no steady-state
     // allocation): per-request check flag, surviving (non-shed) batch
     // indices, per-segment kernel batch, its checked requests and their
-    // references, the outputs, and the result handed to the callback.
+    // references, the outputs, the result handed to the callback and the
+    // served requests' latencies.
     std::vector<std::uint8_t> checked;
     std::vector<std::size_t> live;
     std::vector<const std::vector<std::uint32_t>*> batch_inputs;
@@ -219,6 +223,7 @@ class ProjectionServer {
     std::vector<std::vector<double>> check_refs;
     std::vector<std::vector<double>> batch_ys;
     ServeResult result;
+    std::vector<double> latencies;
   };
 
   void dispatcher_loop();
@@ -296,7 +301,10 @@ class ProjectionServer {
   std::condition_variable idle_cv_;      ///< wait_idle wakeups
   bool paused_ = false;
   bool stopping_ = false;
-  std::size_t inflight_batches_ = 0;
+  /// Batches handed to the pool and not yet finished. Raised under
+  /// queue_mutex_ by the dispatcher; a worker lowers it without the lock
+  /// and takes the lock only to wake wait_idle() at zero.
+  std::atomic<std::size_t> inflight_batches_{0};
 
   std::atomic<double> derate_{1.0};
 

@@ -98,6 +98,33 @@ TEST_F(SweepTest, MultipleLocationsAggregate) {
   EXPECT_GT(model.max_variance(), 0.0);
 }
 
+// CCM lowers one DUT per constant, and m = 0's product is constant zero: a
+// DUT with no timing path. It must neither stop the rig from being built
+// (its Fmax would be 1000/0) nor move the worst-case Fmax, and its row
+// reads zero error at every frequency.
+TEST_F(SweepTest, CcmCharacterisesEveryConstantIncludingZero) {
+  const MultConfig ccm{MultArch::Ccm, 3, 1};
+  settings_.freqs_mhz = {200.0, 400.0, 640.0};
+  settings_.locations = {reference_location_1(), reference_location_2()};
+  const auto model = characterise_multiplier(device_, ccm, 9, settings_);
+  for (const double f : settings_.freqs_mhz) {
+    EXPECT_DOUBLE_EQ(model.error_rate(0, f), 0.0) << f << " MHz";
+    EXPECT_DOUBLE_EQ(model.variance(0, f), 0.0) << f << " MHz";
+    EXPECT_DOUBLE_EQ(model.mean_error(0, f), 0.0) << f << " MHz";
+  }
+  EXPECT_GT(model.max_variance(), 0.0);  // some constant errs at 640 MHz
+
+  CharCircuitConfig cfg;
+  cfg.mult = ccm;
+  cfg.wl_x = 9;
+  for (const Placement& loc : settings_.locations) {
+    const CharacterisationCircuit circuit(cfg, device_, loc);
+    EXPECT_TRUE(std::isfinite(circuit.dut_tool_fmax_mhz()));
+    EXPECT_TRUE(std::isfinite(circuit.dut_device_fmax_mhz()));
+    EXPECT_GT(circuit.dut_device_fmax_mhz(), 0.0);
+  }
+}
+
 TEST_F(SweepTest, DeterministicAcrossRuns) {
   settings_.freqs_mhz = {400.0};
   const auto a = characterise_multiplier(device_, acfg(4), 4, settings_);

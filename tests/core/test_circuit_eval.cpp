@@ -12,7 +12,10 @@
 #include "core/baseline.hpp"
 #include "core/synthetic.hpp"
 #include "fabric/calibration.hpp"
+#include "fabric/timing_annotation.hpp"
 #include "klt/klt.hpp"
+#include "mult/ccm.hpp"
+#include "mult/multiplier.hpp"
 #include "reference/scalar_projection.hpp"
 
 namespace oclp {
@@ -270,6 +273,46 @@ TEST_F(CircuitEvalTest, ProjectBatchJitterIsSeedDeterministic) {
   EXPECT_TRUE(any_diff);  // different seed ⇒ different jitter draws
 }
 
+// Largest structural critical path over a design's multipliers placed at
+// `loc`, in PsGrid ticks — what ProjectionCircuit's per-clock gate bounds.
+std::uint64_t max_critical_ticks(const LinearProjectionDesign& d,
+                                 const Device& device, const Placement& loc,
+                                 int wl_x) {
+  std::uint64_t crit = 0;
+  for (const auto& col : d.columns)
+    for (const auto& coeff : col.coeffs) {
+      Netlist nl =
+          col.config.arch == MultArch::Ccm
+              ? make_ccm_multiplier(col.config, coeff.magnitude, wl_x)
+              : make_multiplier(col.config, wl_x);
+      auto delays = annotate_timing(nl, device, loc);
+      crit = std::max(crit, OverclockSim(std::move(nl), std::move(delays))
+                                .critical_path_ticks());
+    }
+  return crit;
+}
+
+// The per-clock gate's predicate is inclusive: a largest critical path
+// equal to the shortest drawable period's tick threshold passes (a capture
+// at exactly that many ticks is settled), one tick more fails.
+TEST(ProjectionCircuitClockGate, PredicateIsInclusiveAtTheThreshold) {
+  for (const double min_period_ns : {3.952, 4.0, 6.666, 2.5 + 1.0 / 1024}) {
+    const std::uint64_t ticks = PsGrid::period_ticks(min_period_ns);
+    EXPECT_TRUE(ProjectionCircuit::gated_at_every_period(ticks, min_period_ns))
+        << min_period_ns;
+    EXPECT_TRUE(
+        ProjectionCircuit::gated_at_every_period(ticks - 1, min_period_ns))
+        << min_period_ns;
+    EXPECT_FALSE(
+        ProjectionCircuit::gated_at_every_period(ticks + 1, min_period_ns))
+        << min_period_ns;
+  }
+  // A clock whose ±4σ clamp reaches a zero or negative period gates
+  // nothing with a path.
+  EXPECT_FALSE(ProjectionCircuit::gated_at_every_period(1, -0.5));
+  EXPECT_TRUE(ProjectionCircuit::gated_at_every_period(0, -0.5));
+}
+
 // A circuit whose clock crosses the slack-gate bound between batches, via
 // set_clock with and without derate, on array, Wallace, CCM and depth-2
 // pipelined columns: each multiplier is gated on its own critical path, so
@@ -299,18 +342,34 @@ TEST_F(CircuitEvalTest, ProjectBatchSlackGateCrossesTheBoundWithSetClock) {
   }
   // (samples, nominal MHz, derate, via project()): 150, 200 and 150·1.18
   // sit below every column's bound, 420 and 250·1.6 above all of them, and
-  // 300 between the Wallace and array bounds.
+  // 300 between the Wallace and array bounds. 150 MHz clears every
+  // critical path even at the shortest period the clock can draw, so its
+  // batches draw no period at all (the per-clock gate). The closing
+  // stretch stays at 150 MHz without a retarget, turns the gated
+  // circuit's gate off there (its draws then start where none were taken
+  // before) and back on, then retargets across the bound.
   const struct {
     std::size_t n;
     double freq, derate;
     bool scalar;
+    bool retarget = true;  ///< set_clock before the call (after the first)
+    bool gate = true;      ///< the gated circuit's slack gate for the call
   } calls[] = {{64, 150.0, 1.0, false},  {1, 150.0, 1.0, false},
                {64, 420.0, 1.0, false},  {1, 420.0, 1.0, false},
                {64, 150.0, 1.18, false}, {1, 420.0, 1.0, true},
                {64, 250.0, 1.6, false},  {1, 200.0, 1.0, false},
                {1, 200.0, 1.0, true},    {1, 420.0, 1.0, false},
                {64, 300.0, 1.0, false},  {65, 200.0, 1.0, false},
-               {1, 300.0, 1.0, true},    {64, 420.0, 1.0, false}};
+               {1, 300.0, 1.0, true},    {64, 420.0, 1.0, false},
+               {64, 150.0, 1.0, false},  {64, 150.0, 1.0, false, false},
+               {1, 150.0, 1.0, true, false},
+               {64, 150.0, 1.0, false, false, false},
+               {1, 150.0, 1.0, true, false, false},
+               {64, 150.0, 1.0, false, false},
+               {64, 420.0, 1.0, false},  {64, 150.0, 1.0, false}};
+  ASSERT_TRUE(ProjectionCircuit::gated_at_every_period(
+      max_critical_ticks(d, device_, reference_location_1(), 9),
+      ClockGen(150.0, device_.config().jitter_sigma_ns, 1).min_period_ns()));
 
   ref::ScalarProjection seq(d, device_, plan, 9, nullptr, 13);
   ProjectionCircuit gated(d, device_, plan, 9, nullptr, 13);
@@ -321,11 +380,12 @@ TEST_F(CircuitEvalTest, ProjectBatchSlackGateCrossesTheBoundWithSetClock) {
   std::vector<double> y;
   std::size_t next = 0, call = 0;
   for (const auto& c : calls) {
-    if (call > 0) {
+    if (call > 0 && c.retarget) {
       seq.set_clock(c.freq, c.derate);
       gated.set_clock(c.freq, c.derate);
       full.set_clock(c.freq, c.derate);
     }
+    gated.set_slack_gate(c.gate);
     batch.clear();
     for (std::size_t i = 0; i < c.n; ++i) batch.push_back(&stream[next + i]);
     const auto before = gated.stream_counts();
@@ -348,6 +408,9 @@ TEST_F(CircuitEvalTest, ProjectBatchSlackGateCrossesTheBoundWithSetClock) {
     if (c.freq == 300.0) {  // mixed: Wallace gated, array streamed
       EXPECT_GT(after.gated - before.gated, 0u) << "call " << call;
       EXPECT_GT(after.full - before.full, 0u) << "call " << call;
+    }
+    if (!c.gate) {  // the hook turns the per-clock gate off as well
+      EXPECT_EQ(after.gated - before.gated, 0u) << "call " << call;
     }
     next += c.n;
     ++call;

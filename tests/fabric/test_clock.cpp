@@ -38,6 +38,27 @@ TEST(ClockGen, JitterIsClampedToFourSigma) {
   }
 }
 
+// min_period_ns() is a true bound: no draw falls below it, and the clamp
+// reaches it exactly (the same double expression), so it is also the
+// tightest bound. A wide σ makes the clamp visible on the period itself.
+TEST(ClockGen, MinPeriodIsTheClampedDrawBound) {
+  const double sigma = 0.4;
+  ClockGen clk(310.0, sigma, 11);
+  const double bound = clk.min_period_ns();
+  EXPECT_DOUBLE_EQ(bound, clk.nominal_period_ns() - 4.0 * sigma);
+  int at_bound = 0;
+  for (int i = 0; i < 100000; ++i) {
+    const double p = clk.next_period_ns();
+    ASSERT_GE(p, bound) << "draw " << i;
+    at_bound += p == bound;
+  }
+  EXPECT_GT(at_bound, 0);
+  EXPECT_EQ(clk.min_period_ns(), bound);  // drawing never moves it
+
+  const ClockGen still(310.0, 0.0, 11);
+  EXPECT_EQ(still.min_period_ns(), still.nominal_period_ns());
+}
+
 TEST(ClockGen, DeterministicInSeed) {
   ClockGen a(310.0, 0.01, 42), b(310.0, 0.01, 42);
   for (int i = 0; i < 100; ++i)

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <mutex>
@@ -376,6 +377,55 @@ TEST(ProjectionServer, StoppedServerRefusesSubmissions) {
   ProjectionServer server(design, device, plan, kWlX, nullptr, cfg, nullptr);
   server.stop();
   EXPECT_FALSE(server.submit({1, {1, 2, 3, 4}, 0.0}));
+}
+
+// Workers count their batches done without the queue lock, taking it only
+// to wake wait_idle() at zero. Under four workers, with one batch per
+// request and with full batches: wait_idle() returns only once every
+// callback has run, and stop() straight after a burst serves all of it.
+TEST(ProjectionServer, BatchCompletionOffTheQueueLockLosesNoRequest) {
+  const auto design = serve_design(100.0);
+  const Device device = make_device();
+  const auto plan = deterministic_plan(design);
+  constexpr std::uint64_t kRequests = 10000;
+  Rng rng(31);
+  std::vector<std::vector<std::uint32_t>> codes(kRequests);
+  for (auto& c : codes) c = random_codes(rng, 4);
+
+  for (const std::size_t max_batch : {std::size_t{1}, std::size_t{64}}) {
+    ServeConfig cfg;
+    cfg.workers = 4;
+    cfg.queue_capacity = kRequests;  // nothing rejected
+    cfg.max_batch = max_batch;
+    cfg.max_wait_ms = 0.0;
+    cfg.governor.f_target_mhz = 100.0;
+    cfg.governor.f_floor_mhz = 100.0;
+    for (int rep = 0; rep < 3; ++rep) {
+      for (const bool via_stop : {false, true}) {
+        std::atomic<std::uint64_t> callbacks{0};
+        ProjectionServer server(
+            design, device, plan, kWlX, nullptr, cfg,
+            [&](const ServeResult&) {
+              // A callback that takes a while widens the window in which
+              // a count lowered too early would let wait_idle() return.
+              std::this_thread::yield();
+              callbacks.fetch_add(1, std::memory_order_relaxed);
+            });
+        for (std::uint64_t id = 1; id <= kRequests; ++id)
+          ASSERT_TRUE(server.submit({id, codes[id - 1], 0.0}));
+        if (via_stop)
+          server.stop();
+        else
+          server.wait_idle();
+        const std::uint64_t at_return = callbacks.load();
+        const auto snap = server.metrics_snapshot();
+        EXPECT_EQ(snap.submitted, kRequests);
+        EXPECT_EQ(at_return, snap.submitted)
+            << "max_batch " << max_batch << (via_stop ? " stop" : " wait_idle");
+        EXPECT_EQ(snap.served, snap.submitted);
+      }
+    }
+  }
 }
 
 TEST(ProjectionServer, CheckFractionSamplesASubset) {
