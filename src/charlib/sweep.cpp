@@ -25,10 +25,8 @@ namespace {
 // per location for the whole sweep — construction (netlist build + timing
 // annotation + STA) dwarfs a single stream run, so it must not sit inside
 // the per-multiplicand loop. Workers share the circuits through the const
-// single-pass API with chunk-keyed workspaces (NUMA-local under a pinned
-// policy, since chunk c always re-touches arena slot c from the same CPU).
-// Each worker writes only its own model row, so any policy/chunking is
-// bitwise-identical to serial.
+// single-pass API with one workspace per chunk. Each worker writes only its
+// own model row, so any policy/chunking is bitwise-identical to serial.
 void sweep_rows(const Device& device, const SweepSettings& settings,
                 const std::vector<std::uint32_t>& rows, ErrorModel& model,
                 const ExecPolicy& exec) {
@@ -73,12 +71,12 @@ void sweep_rows(const Device& device, const SweepSettings& settings,
                                 static_cast<double>(total[fi])
                           : 0.0);
   };
-  ChunkArena<CharacterisationCircuit::Workspace> arena;
-  arena.ensure(exec.num_chunks(rows.size()));
+  std::vector<CharacterisationCircuit::Workspace> workspaces(
+      exec.num_chunks(rows.size()));
   exec.for_chunks(0, rows.size(),
                   [&](std::size_t c0, std::size_t c1, std::size_t chunk) {
-                    auto& ws = arena.at(chunk);
-                    for (std::size_t ri = c0; ri < c1; ++ri) worker(ri, ws);
+                    for (std::size_t ri = c0; ri < c1; ++ri)
+                      worker(ri, workspaces[chunk]);
                   });
 }
 
@@ -232,12 +230,12 @@ SubsweepReport recharacterise_multiplier(const CharacterisationCircuit& circuit,
 
   // Distinct model rows / erroneous_at slots per probe (the mutex only
   // serialises the writes), so the policy cannot change the result.
-  ChunkArena<CharacterisationCircuit::Workspace> arena;
-  arena.ensure(exec.num_chunks(probe.size()));
+  std::vector<CharacterisationCircuit::Workspace> workspaces(
+      exec.num_chunks(probe.size()));
   exec.for_chunks(0, probe.size(),
                   [&](std::size_t c0, std::size_t c1, std::size_t chunk) {
-                    auto& ws = arena.at(chunk);
-                    for (std::size_t pi = c0; pi < c1; ++pi) worker(pi, ws);
+                    for (std::size_t pi = c0; pi < c1; ++pi)
+                      worker(pi, workspaces[chunk]);
                   });
 
   // fB over the probed codes: highest grid frequency below the first
@@ -313,12 +311,12 @@ std::vector<ErrorRatePoint> error_rate_curve(const Device& device, int wl_a,
   // Bursts fill distinct slots in parallel; the order-sensitive
   // RunningStats merge below stays a serial fixed-order fold, so the
   // curve is bitwise-independent of the policy.
-  ChunkArena<CharacterisationCircuit::Workspace> arena;
-  arena.ensure(exec.num_chunks(bursts.size()));
+  std::vector<CharacterisationCircuit::Workspace> workspaces(
+      exec.num_chunks(bursts.size()));
   exec.for_chunks(0, bursts.size(),
                   [&](std::size_t c0, std::size_t c1, std::size_t chunk) {
-                    auto& ws = arena.at(chunk);
-                    for (std::size_t bi = c0; bi < c1; ++bi) worker(bi, ws);
+                    for (std::size_t bi = c0; bi < c1; ++bi)
+                      worker(bi, workspaces[chunk]);
                   });
 
   std::vector<ErrorRatePoint> curve(nf);

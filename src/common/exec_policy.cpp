@@ -18,8 +18,7 @@ std::size_t ExecPolicy::chunk_size_for(std::size_t n) const {
                               : std::max<std::size_t>(
                                     1, chunking_.chunks_per_worker);
   const std::size_t tasks = std::max<std::size_t>(1, workers() * cpw);
-  const std::size_t size = (n + tasks - 1) / tasks;
-  return std::max({size, chunking_.min_chunk, std::size_t{1}});
+  return (n + tasks - 1) / tasks;
 }
 
 std::size_t ExecPolicy::num_chunks(std::size_t n) const {
@@ -41,40 +40,29 @@ void ExecPolicy::for_chunks(
     const std::size_t c1 = std::min(end, c0 + size);
     fn(c0, c1, chunk);
   };
-  if (kind_ == ExecKind::Serial || chunks == 1) {
+  ThreadPool* tp = kind_ == ExecKind::Serial ? nullptr : &pool();
+  // A nested call from one of the pool's own workers runs inline: every
+  // worker may be blocked in this same spot, so queueing and waiting could
+  // deadlock, and the outer fan-out already spreads the work.
+  if (tp == nullptr || chunks == 1 || tp->current_thread_is_worker()) {
     for (std::size_t chunk = 0; chunk < chunks; ++chunk) run_chunk(chunk);
     return;
   }
-  ThreadPool& tp = pool();
-  if (pinned_ && !tp.current_thread_is_worker()) {
-    // Static cyclic schedule: chunk c always executes on worker c % W,
-    // hence on the same CPU and NUMA node every call (the pool is
-    // worker-pinned). Chunk-keyed workspaces therefore get touched by the
-    // same CPU for their whole lifetime. Same drain-all-then-rethrow
-    // discipline as ThreadPool::parallel_for: bailing early would leave
-    // queued chunks with dangling references into this frame.
-    const std::size_t w = tp.size();
-    std::vector<std::future<void>> futures;
-    futures.reserve(chunks);
-    for (std::size_t chunk = 0; chunk < chunks; ++chunk)
-      futures.push_back(
-          tp.submit_on(chunk % w, [&run_chunk, chunk] { run_chunk(chunk); }));
-    std::exception_ptr first;
-    for (auto& f : futures) {
-      try {
-        f.get();
-      } catch (...) {
-        if (!first) first = std::current_exception();
-      }
+  std::vector<std::future<void>> futures;
+  futures.reserve(chunks);
+  for (std::size_t chunk = 0; chunk < chunks; ++chunk)
+    futures.push_back(tp->submit([&run_chunk, chunk] { run_chunk(chunk); }));
+  // Drain every future before rethrowing: bailing out on the first failure
+  // would leave queued chunks holding dangling references into this frame.
+  std::exception_ptr first;
+  for (auto& f : futures) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!first) first = std::current_exception();
     }
-    if (first) std::rethrow_exception(first);
-    return;
   }
-  // Fan the chunk *indices* out over the pool. parallel_for runs nested
-  // calls (from inside a worker of this same pool) inline on the calling
-  // thread, so policy layering cannot deadlock — a nested pinned call
-  // lands here too and inlines for the same reason.
-  tp.parallel_for(0, chunks, run_chunk);
+  if (first) std::rethrow_exception(first);
 }
 
 void ExecPolicy::for_each(std::size_t begin, std::size_t end,

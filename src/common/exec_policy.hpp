@@ -14,44 +14,31 @@
 // parallel region.
 //
 // Nested use is safe by construction: a pooled policy invoked from inside
-// a worker of the same pool runs its range inline on the calling thread
-// (ThreadPool::parallel_for's nested-call rule), so policies can be handed
-// down through layered reductions (algorithm1 → multiply) without
-// deadlocking the pool.
-//
-// The topology layer on top (ExecPolicy::pinned + ChunkArena): a pinned
-// policy runs on a worker-pinned pool and routes chunk c to worker
-// c % size() via directed submission, so the chunk→worker→CPU→NUMA-node
-// chain is a pure function of the chunk index. Pairing that with
-// chunk-indexed workspaces (ChunkArena) makes workspace memory node-local
-// by first touch — the same chunk always grows and reuses its buffers from
-// the same CPU. Like everything else here, pinning has no effect on
-// results, only on where the bytes live.
+// a worker of the same pool runs its range inline on the calling thread,
+// so policies can be handed down through layered reductions (algorithm1 →
+// multiply) without deadlocking the pool.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <vector>
 
 #include "common/thread_pool.hpp"
-#include "common/topology.hpp"
 
 namespace oclp {
 
 enum class ExecKind : std::uint8_t { Serial, Pool };
 
 /// Chunking heuristics of a policy. chunk_size == 0 selects automatic
-/// sizing: ceil(n / (workers · chunks_per_worker)), floored at min_chunk —
-/// a few chunks per worker so an uneven item smooths out, without
-/// submitting one task per item. Serial policies default to a single
-/// chunk; an explicit chunk_size is honoured by both kinds (chunk index →
-/// shard-workspace mapping stays identical across kinds, which is what
-/// the determinism tests pin).
+/// sizing: ceil(n / (workers · chunks_per_worker)) — a few chunks per
+/// worker so an uneven item smooths out, without submitting one task per
+/// item. Serial policies default to a single chunk; an explicit chunk_size
+/// is honoured by both kinds (chunk index → shard-workspace mapping stays
+/// identical across kinds, which is what the determinism tests pin).
 struct ExecChunking {
   std::size_t chunk_size = 0;
   std::size_t chunks_per_worker = 4;
-  std::size_t min_chunk = 1;
 };
 
 class ExecPolicy {
@@ -77,32 +64,12 @@ class ExecPolicy {
     return p;
   }
 
-  /// Topology-aware fan-out: runs on a worker-pinned pool (nullptr =
-  /// ThreadPool::pinned_global(), resolved lazily so holding a pinned
-  /// policy in a config never spawns the pool by itself) and routes chunk
-  /// c to worker c % workers() via directed submission. Results are
-  /// bitwise identical to serial()/pooled(); only placement changes.
-  /// A non-null `pool` should itself be pinned for the placement to mean
-  /// anything, but any pool is correct.
-  static ExecPolicy pinned(ExecChunking chunking = {},
-                           ThreadPool* pool = nullptr) {
-    ExecPolicy p;
-    p.kind_ = ExecKind::Pool;
-    p.pool_ = pool;
-    p.pinned_ = true;
-    p.chunking_ = chunking;
-    return p;
-  }
-
   ExecKind kind() const { return kind_; }
   const ExecChunking& chunking() const { return chunking_; }
-  bool is_pinned() const { return pinned_; }
 
-  /// The pool a Pool policy runs on (resolving the global default —
-  /// pinned policies default to the pinned pool).
+  /// The pool a Pool policy runs on (resolving the global default).
   ThreadPool& pool() const {
-    if (pool_ != nullptr) return *pool_;
-    return pinned_ ? ThreadPool::pinned_global() : ThreadPool::global();
+    return pool_ != nullptr ? *pool_ : ThreadPool::global();
   }
 
   /// Worker count the chunk heuristic sees (1 for Serial).
@@ -122,28 +89,14 @@ class ExecPolicy {
                 const std::function<void(std::size_t)>& fn) const;
 
   /// Run fn(c0, c1, chunk) over the chunks [c0, c1) of [begin, end).
-  /// `chunk` is the ascending chunk index — stable across
-  /// Serial/Pool/pinned for a given chunk size, so callers may key
-  /// per-chunk workspaces on it. Under a pinned policy each chunk is
-  /// directed at worker chunk_worker(chunk) instead of the shared queue.
+  /// `chunk` is the ascending chunk index — stable across Serial/Pool for
+  /// a given chunk size, so callers may key per-chunk workspaces on it.
+  /// A Pool policy submits one task per chunk, runs the range inline when
+  /// called from one of its pool's workers, and waits for every chunk
+  /// before rethrowing the first exception.
   void for_chunks(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t, std::size_t,
                                            std::size_t)>& fn) const;
-
-  /// The worker a pinned policy directs `chunk` at (the static cyclic
-  /// schedule); 0 for Serial. For an unpinned Pool policy this is the
-  /// nominal schedule only — shared-queue execution does not bind to it.
-  std::size_t chunk_worker(std::size_t chunk) const {
-    if (kind_ == ExecKind::Serial) return 0;
-    const std::size_t w = pool().size();
-    return w == 0 ? 0 : chunk % w;
-  }
-
-  /// NUMA node `chunk` lands on under the pinned schedule (0 for Serial).
-  int chunk_node(std::size_t chunk) const {
-    if (kind_ == ExecKind::Serial) return 0;
-    return pool().worker_node(chunk_worker(chunk));
-  }
 
   /// Deterministic fixed-order reduction: map(c0, c1) produces one partial
   /// per chunk (possibly in parallel), then the partials are combined
@@ -168,36 +121,8 @@ class ExecPolicy {
 
  private:
   ExecKind kind_ = ExecKind::Pool;
-  ThreadPool* pool_ = nullptr;  ///< nullptr = global()/pinned_global()
+  ThreadPool* pool_ = nullptr;  ///< nullptr = ThreadPool::global()
   ExecChunking chunking_;
-  bool pinned_ = false;
-};
-
-/// Chunk-indexed workspace store for for_chunks consumers. Backed by a
-/// deque so growing never moves existing slots: a workspace's buffers —
-/// and the physical pages they were first touched on — stay put for the
-/// lifetime of the arena, which is the whole point under a pinned policy
-/// (chunk c always reuses slot c from worker chunk_worker(c)'s CPU).
-/// ensure() must run before the parallel region; at() is then data-race
-/// free because distinct chunks index distinct slots.
-template <typename WS>
-class ChunkArena {
- public:
-  /// Make slots [0, n) exist (default-constructed). Not thread-safe;
-  /// call from the coordinating thread before fanning out.
-  void ensure(std::size_t n) {
-    while (slots_.size() < n) slots_.emplace_back();
-  }
-
-  /// Slot for `chunk`; must be < size(). Stable address for the arena's
-  /// lifetime.
-  WS& at(std::size_t chunk) { return slots_[chunk]; }
-  const WS& at(std::size_t chunk) const { return slots_[chunk]; }
-
-  std::size_t size() const { return slots_.size(); }
-
- private:
-  std::deque<WS> slots_;
 };
 
 }  // namespace oclp

@@ -1,7 +1,6 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
-#include <exception>
 
 #include "common/check.hpp"
 #include "common/topology.hpp"
@@ -14,18 +13,13 @@
 namespace oclp {
 
 namespace {
-// Which pool (if any) owns the current thread, and the worker's index in
-// it. Lets parallel_for detect nested use from inside a worker: blocking
-// on futures there can deadlock (every worker waiting on chunks only the
-// blocked workers could run), so nested calls degrade to inline execution
-// on the calling thread instead. The index is what directed-schedule
-// consumers (and tests) use to observe where a task actually ran.
+// Which pool (if any) owns the current thread: lets a fan-out detect that
+// it was issued from inside a worker and run inline instead of blocking.
 thread_local const ThreadPool* current_worker_pool = nullptr;
-thread_local int current_worker_idx = -1;
 
 // Bind the calling thread to a single CPU. Best-effort: a failure (exotic
 // cgroup masks, non-Linux) leaves the thread floating, which only costs
-// locality, never correctness.
+// speed, never correctness.
 void pin_self_to_cpu(int cpu) {
 #ifdef __linux__
   cpu_set_t set;
@@ -40,21 +34,11 @@ void pin_self_to_cpu(int cpu) {
 
 ThreadPool::ThreadPool(std::size_t threads, bool pin_workers) {
   if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
-  pinned_ = pin_workers;
-  // The worker→CPU→node assignment is fixed here, on the constructing
-  // thread, from the cached topology probe: deterministic and readable
-  // without synchronisation. Workers apply their own affinity on startup.
-  worker_cpu_.resize(threads);
-  worker_node_.resize(threads);
-  const Topology& topo = topology();
-  for (std::size_t i = 0; i < threads; ++i) {
-    worker_cpu_[i] = topo.cpu_for_worker(i);
-    worker_node_[i] = topo.node_of_cpu(worker_cpu_[i]);
-  }
-  worker_queues_.resize(threads);
   workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i)
-    workers_.emplace_back([this, i] { worker_loop(i); });
+  for (std::size_t i = 0; i < threads; ++i) {
+    const int cpu = pin_workers ? topology().cpu_for_worker(i) : -1;
+    workers_.emplace_back([this, cpu] { worker_loop(cpu); });
+  }
 }
 
 ThreadPool::~ThreadPool() {
@@ -70,15 +54,9 @@ bool ThreadPool::current_thread_is_worker() const {
   return current_worker_pool == this;
 }
 
-int ThreadPool::current_worker_index() const {
-  return current_worker_pool == this ? current_worker_idx : -1;
-}
-
 std::size_t ThreadPool::queue_depth() const {
   std::lock_guard lock(mutex_);
-  std::size_t depth = queue_.size();
-  for (const auto& q : worker_queues_) depth += q.size();
-  return depth;
+  return queue_.size();
 }
 
 std::future<void> ThreadPool::submit(std::function<void()> task) {
@@ -93,92 +71,22 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
   return future;
 }
 
-std::future<void> ThreadPool::submit_on(std::size_t worker,
-                                        std::function<void()> task) {
-  OCLP_CHECK_MSG(worker < size(), "submit_on worker " << worker
-                                                      << " of a pool of "
-                                                      << size());
-  std::packaged_task<void()> packaged(std::move(task));
-  auto future = packaged.get_future();
-  {
-    std::lock_guard lock(mutex_);
-    OCLP_CHECK_MSG(!stopping_, "submit_on on a stopped ThreadPool");
-    worker_queues_[worker].push(std::move(packaged));
-  }
-  // Directed work cannot be stolen: every waiter must look, since only
-  // one specific worker may take this task.
-  cv_.notify_all();
-  return future;
-}
-
-void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
-                              const std::function<void(std::size_t)>& fn) {
-  if (begin >= end) return;
-  if (current_thread_is_worker()) {
-    // Nested call from one of our own workers: all workers may be blocked
-    // in this same spot, so queueing and waiting can deadlock. The calling
-    // thread runs its range inline — the outer parallel_for already spreads
-    // the work across the pool.
-    for (std::size_t i = begin; i < end; ++i) fn(i);
-    return;
-  }
-  const std::size_t n = end - begin;
-  // ~4 chunks per worker balances load without flooding the queue.
-  const std::size_t chunks = std::min(n, size() * 4);
-  const std::size_t chunk = (n + chunks - 1) / chunks;
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  for (std::size_t c0 = begin; c0 < end; c0 += chunk) {
-    const std::size_t c1 = std::min(end, c0 + chunk);
-    futures.push_back(submit([c0, c1, &fn] {
-      for (std::size_t i = c0; i < c1; ++i) fn(i);
-    }));
-  }
-  // Drain every future before rethrowing: bailing out on the first failure
-  // would leave queued chunks holding a dangling reference to `fn`.
-  std::exception_ptr first;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first) first = std::current_exception();
-    }
-  }
-  if (first) std::rethrow_exception(first);
-}
-
 ThreadPool& ThreadPool::global() {
-  static ThreadPool pool;
-  return pool;
-}
-
-ThreadPool& ThreadPool::pinned_global() {
   static ThreadPool pool(0, /*pin_workers=*/true);
   return pool;
 }
 
-void ThreadPool::worker_loop(std::size_t index) {
+void ThreadPool::worker_loop(int cpu) {
   current_worker_pool = this;
-  current_worker_idx = static_cast<int>(index);
-  if (pinned_) pin_self_to_cpu(worker_cpu_[index]);
-  auto& own = worker_queues_[index];
+  if (cpu >= 0) pin_self_to_cpu(cpu);
   for (;;) {
     std::packaged_task<void()> task;
     {
       std::unique_lock lock(mutex_);
-      cv_.wait(lock, [this, &own] {
-        return stopping_ || !queue_.empty() || !own.empty();
-      });
-      if (stopping_ && queue_.empty() && own.empty()) return;
-      // Directed tasks first: they were routed here for locality, and
-      // nobody else can run them.
-      if (!own.empty()) {
-        task = std::move(own.front());
-        own.pop();
-      } else {
-        task = std::move(queue_.front());
-        queue_.pop();
-      }
+      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+      if (stopping_ && queue_.empty()) return;
+      task = std::move(queue_.front());
+      queue_.pop();
     }
     inflight_.fetch_add(1, std::memory_order_relaxed);
     task();  // exceptions propagate via the packaged_task's future

@@ -1,21 +1,17 @@
-// Fixed-size worker pool with a blocking task queue and a chunked
-// parallel_for. Used by the characterisation sweep engine and the design
-// evaluators, where the work units (multiplier × frequency × location) are
-// embarrassingly parallel.
+// Fixed-size worker pool with one blocking task queue. ExecPolicy fans
+// the characterisation sweep engine, the design evaluators and
+// project_batch's full streams out over it; the serving runtime runs its
+// batch tasks on a pool of its own.
 //
-// Optionally topology-pinned: each worker is bound to one affine CPU
-// (node-major order from the topology() probe) and exposes its CPU/NUMA
-// node, and tasks can be directed at a *specific* worker via submit_on().
-// Directed submission is what makes NUMA-local workspaces real: a policy
-// that always routes chunk c to worker c % size() re-touches the same
-// workspace from the same CPU every time, so first-touch pages stay on
-// that worker's node (see ExecPolicy::pinned).
+// Optionally pinned: worker i is bound to topology().cpu_for_worker(i)
+// for its lifetime, so a worker's caches stay on one core. The process
+// pool (global()) is pinned — DESIGN.md §12 has the ablation that keeps
+// this and nothing else of the placement layer.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <future>
 #include <mutex>
@@ -28,8 +24,7 @@ namespace oclp {
 class ThreadPool {
  public:
   /// threads == 0 selects the hardware concurrency (at least 1). With
-  /// `pin_workers`, worker i is bound to topology().cpu_for_worker(i) —
-  /// a no-op comfort loss on single-CPU hosts, a locality win on NUMA.
+  /// `pin_workers`, worker i is bound to topology().cpu_for_worker(i).
   explicit ThreadPool(std::size_t threads = 0, bool pin_workers = false);
   ~ThreadPool();
 
@@ -38,70 +33,34 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  /// True iff this pool was constructed with worker pinning.
-  bool pinned() const { return pinned_; }
-
-  /// CPU worker i is (or would be) bound to, and its NUMA node. Defined
-  /// for any i < size(); meaningful placement only when pinned().
-  int worker_cpu(std::size_t i) const { return worker_cpu_[i]; }
-  int worker_node(std::size_t i) const { return worker_node_[i]; }
-
   /// Enqueue a task; the returned future observes completion/exceptions.
   std::future<void> submit(std::function<void()> task);
 
-  /// Enqueue a task that only worker `worker` may run. The backbone of
-  /// deterministic chunk→CPU schedules: unlike submit(), the executing
-  /// worker (hence CPU and NUMA node, when pinned) is fixed at submit
-  /// time. Directed tasks win over shared-queue tasks on that worker.
-  std::future<void> submit_on(std::size_t worker, std::function<void()> task);
-
-  /// Run fn(i) for i in [begin, end) across the pool and wait for all.
-  /// Iterations are distributed in contiguous chunks; exceptions from any
-  /// chunk are rethrown (first one wins). Safe to call from inside a task
-  /// running on this pool: nested calls execute their range inline on the
-  /// calling worker instead of blocking on the queue (which could deadlock
-  /// with every worker waiting for chunks nobody is free to run).
-  void parallel_for(std::size_t begin, std::size_t end,
-                    const std::function<void(std::size_t)>& fn);
-
-  /// True iff the calling thread is one of this pool's workers.
+  /// True iff the calling thread is one of this pool's workers. A fan-out
+  /// issued from one of them must run inline: queueing and waiting there
+  /// can deadlock, with every worker waiting on tasks nobody is free to run.
   bool current_thread_is_worker() const;
 
-  /// Index of the calling worker within this pool, or -1 when the caller
-  /// is not one of its workers.
-  int current_worker_index() const;
-
-  /// Tasks accepted but not yet picked up by a worker (shared + directed).
-  /// A point-in-time gauge (another thread may pop concurrently);
-  /// serving-layer metrics sample it for queue-depth telemetry.
+  /// Tasks accepted but not yet picked up by a worker. A point-in-time
+  /// gauge (another thread may pop concurrently); serving-layer metrics
+  /// sample it for queue-depth telemetry.
   std::size_t queue_depth() const;
 
   /// Tasks currently executing on workers (same caveat as queue_depth()).
   std::size_t inflight() const { return inflight_.load(std::memory_order_relaxed); }
 
-  /// Process-wide shared pool for library internals.
+  /// Process-wide fan-out pool for library internals, worker-pinned.
   static ThreadPool& global();
 
-  /// Process-wide topology-pinned pool, created on first use — the pool
-  /// behind ExecPolicy::pinned(). Kept separate from global() so unpinned
-  /// consumers never inherit affinity constraints.
-  static ThreadPool& pinned_global();
-
  private:
-  void worker_loop(std::size_t index);
+  void worker_loop(int cpu);
 
   std::vector<std::thread> workers_;
   std::queue<std::packaged_task<void()>> queue_;
-  /// One directed queue per worker (guarded by the same mutex as queue_).
-  /// A deque of queues: resize must not require copyable elements, and
-  /// packaged_task is move-only.
-  std::deque<std::queue<std::packaged_task<void()>>> worker_queues_;
-  std::vector<int> worker_cpu_, worker_node_;
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::atomic<std::size_t> inflight_{0};
   bool stopping_ = false;
-  bool pinned_ = false;
 };
 
 }  // namespace oclp

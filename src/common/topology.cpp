@@ -115,11 +115,4 @@ int Topology::cpu_for_worker(std::size_t worker) const {
   return nodes.front().cpus.front();
 }
 
-int Topology::node_of_cpu(int cpu) const {
-  for (const auto& node : nodes)
-    if (std::binary_search(node.cpus.begin(), node.cpus.end(), cpu))
-      return node.id;
-  return 0;
-}
-
 }  // namespace oclp

@@ -1,15 +1,13 @@
 // Host topology probe: which CPUs this process may run on, grouped by
-// NUMA node. The execution-policy layer uses it to pin pool workers and
-// to place per-chunk workspaces on the socket that will touch them (the
-// chunk→worker schedule of ExecPolicy::pinned() is static, so first-touch
-// allocation inside a chunk is allocation on that chunk's node).
+// NUMA node. ThreadPool pins its workers by it (cpu_for_worker), and the
+// benchmarks record the node and CPU counts with their results.
 //
 // The probe reads sysfs (/sys/devices/system/node) and intersects each
 // node's cpulist with the process affinity mask; on hosts without sysfs
 // NUMA information (or non-Linux builds) it degenerates to a single node
 // holding every affine CPU. Probing happens once and is cached — topology
-// does not change under a running process, and a stable answer is what
-// makes the pinned chunk→cpu→node chain deterministic.
+// does not change under a running process, and a stable answer keeps the
+// worker→CPU assignment fixed.
 #pragma once
 
 #include <cstddef>
@@ -37,13 +35,6 @@ struct Topology {
   /// worker→CPU assignment rule of ThreadPool pinning. Wraps modulo the
   /// CPU count, so any worker index maps to a valid CPU.
   int cpu_for_worker(std::size_t worker) const;
-
-  /// NUMA node id owning `cpu` (0 if the cpu is unknown to the probe).
-  int node_of_cpu(int cpu) const;
-
-  /// True when more than one node holds CPUs — whether pinning can change
-  /// memory locality at all (it still stabilises caches on one node).
-  bool multi_node() const { return nodes.size() > 1; }
 };
 
 /// The cached process-wide probe (thread-safe; probed on first use).

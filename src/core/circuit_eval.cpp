@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "core/synthetic.hpp"
 #include "fabric/timing_annotation.hpp"
 #include "linalg/decompositions.hpp"
@@ -315,13 +314,12 @@ void ProjectionCircuit::project_batch(
   // policy; a batch of arithmetic alone has no stream to run.
   if (any_full) {
     contrib_.resize(kp * n);
-    if (n == 1) {
-      batch_ws_.ensure(1);
+    const std::size_t chunks = n == 1 ? 1 : exec_.num_chunks(kp);
+    if (batch_ws_.size() < chunks) batch_ws_.resize(chunks);
+    if (n == 1)
       run_chunk(0, kp, 0);
-    } else {
-      batch_ws_.ensure(exec_.num_chunks(kp));
+    else
       exec_.for_chunks(0, kp, run_chunk);
-    }
   }
   for (std::size_t m = 0; m < kp; ++m) {
     ++(stream_gated_[m] ? streams_.gated : streams_.full);

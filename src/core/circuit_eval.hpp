@@ -93,9 +93,8 @@ class ProjectionCircuit {
   /// read one. A batch in which every multiplier is gated, and any
   /// single-sample batch, runs inline on the calling thread; otherwise the
   /// K·P multipliers are distributed per the circuit's ExecPolicy
-  /// (default: pinned, one chunk per worker) with per-chunk reusable
-  /// workspaces in a stable-address arena. stream_counts() tells the two
-  /// kinds apart.
+  /// (default: the global pool, one chunk per worker) with one reusable
+  /// workspace per chunk. stream_counts() tells the two kinds apart.
   void project_batch(const std::vector<const std::vector<std::uint32_t>*>& batch,
                      std::vector<std::vector<double>>& ys);
 
@@ -234,14 +233,11 @@ class ProjectionCircuit {
   /// Every multiplier is gated at every period the current clock can
   /// draw (and the gate is on): batches draw no period.
   bool clock_gated_ = false;
-  ChunkArena<BatchWorkspace> batch_ws_;     ///< one stable slot per chunk
-  /// Stream-distribution policy. One chunk per worker mirrors the shard
-  /// count the hand-rolled fan-out used (multiplier streams are uniform,
-  /// so finer chunks only add submission overhead). Pinned by default:
-  /// chunk c always runs on the same CPU, so its arena slot's pages stay
-  /// cache- and NUMA-local across batches. The pinned pool spawns lazily
-  /// on the first real fan-out, never from construction.
-  ExecPolicy exec_ = ExecPolicy::pinned(ExecChunking{0, 1, 1});
+  std::vector<BatchWorkspace> batch_ws_;  ///< one per chunk
+  /// Stream-distribution policy. One chunk per worker: multiplier streams
+  /// are uniform, so finer chunks only add submission overhead. The global
+  /// pool spawns on the first real fan-out, never from construction.
+  ExecPolicy exec_ = ExecPolicy::pooled(nullptr, ExecChunking{0, 1});
 };
 
 /// End-to-end hardware evaluation: run `x` (value-domain P×N) through the

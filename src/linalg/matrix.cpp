@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "common/exec_policy.hpp"
-#include "common/thread_pool.hpp"
 
 namespace oclp {
 
@@ -186,12 +185,6 @@ Matrix multiply(const Matrix& a, const Matrix& b, const ExecPolicy& exec) {
   exec.for_each(0, a.rows(),
                 [&](std::size_t i) { multiply_row(a, b, out, i); });
   return out;
-}
-
-Matrix multiply(const Matrix& a, const Matrix& b, ThreadPool* pool) {
-  return multiply(a, b,
-                  pool == nullptr ? ExecPolicy::serial()
-                                  : ExecPolicy::pooled(pool));
 }
 
 double reconstruction_mse(const Matrix& x, const Matrix& basis, const Matrix& f) {

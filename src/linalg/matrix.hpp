@@ -13,7 +13,6 @@
 
 namespace oclp {
 
-class ThreadPool;
 class ExecPolicy;
 
 class Matrix {
@@ -88,10 +87,6 @@ Matrix operator*(double s, const Matrix& m);
 /// P×N residual reconstructions over thousands of training cases). Safe to
 /// call from inside a pool task — nested pooled policies run inline.
 Matrix multiply(const Matrix& a, const Matrix& b, const ExecPolicy& exec);
-
-/// Back-compat shim: nullptr runs serially, otherwise rows fan out over
-/// `pool` (equivalent to ExecPolicy::pooled(pool)).
-Matrix multiply(const Matrix& a, const Matrix& b, ThreadPool* pool);
 
 /// mean_square of (x − basis·f) fused into one pass: reconstructs one row
 /// at a time and accumulates the squared residual without materialising

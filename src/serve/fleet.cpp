@@ -85,8 +85,11 @@ ProjectionFleet::ProjectionFleet(const LinearProjectionDesign& design,
       probe.m_stride = cfg.char_m_stride;
       probe.samples_per_point = cfg.char_samples;
       probe.stream_seed = hash_mix(cfg.seed, i, 0xC0DE5ULL);
+      // Construction, the heaviest burst of the fleet's life, fans the
+      // probe out over the global pool; online rechecks stay serial so a
+      // background recheck never contends with serving for it.
       const auto report = recharacterise_multiplier(
-          *die->char_circuits.at(config), model, probe, cfg.char_exec);
+          *die->char_circuits.at(config), model, probe, ExecPolicy());
       fb = first ? report.error_free_fmax_mhz
                  : std::min(fb, report.error_free_fmax_mhz);
       first = false;

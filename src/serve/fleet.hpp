@@ -59,13 +59,6 @@ struct FleetConfig {
   std::vector<double> char_freqs_mhz;
   std::size_t char_samples = 240;   ///< stream length per probed code
   std::size_t char_m_stride = 16;   ///< coverage beyond the design's codes
-  /// Policy the construction-time probes fan the per-code streams over.
-  /// Pinned by default — construction characterises every die up front,
-  /// the heaviest burst of the fleet's life, and the pinned schedule keeps
-  /// each probe chunk's workspace on one CPU. Online rechecks are *not*
-  /// governed by this: they stay serial so a background recheck never
-  /// contends with serving traffic for the pool.
-  ExecPolicy char_exec = ExecPolicy::pinned();
   /// Per-die operating point as fractions of the die's measured error-free
   /// fmax: the governor serves at target and never steps below floor.
   double target_fraction = 0.9;

@@ -42,9 +42,6 @@ TEST(ExecPolicy, PooledAutoMakesAFewChunksPerWorker) {
   const std::size_t size = p.chunk_size_for(n);
   EXPECT_EQ(size, (n + w * 4 - 1) / (w * 4));
   EXPECT_EQ(p.num_chunks(n), (n + size - 1) / size);
-  // min_chunk floors the automatic size.
-  const auto floored = ExecPolicy::pooled(nullptr, ExecChunking{0, 4, 500});
-  EXPECT_GE(floored.chunk_size_for(n), 500u);
 }
 
 TEST(ExecPolicy, ExplicitChunkSizeIsHonouredByBothKinds) {
@@ -58,9 +55,7 @@ TEST(ExecPolicy, ExplicitChunkSizeIsHonouredByBothKinds) {
 TEST(ExecPolicy, ForChunksTilesTheRangeExactly) {
   for (const auto& p : {ExecPolicy::serial(ExecChunking{5}),
                         ExecPolicy::pooled(nullptr, ExecChunking{5}),
-                        ExecPolicy::pinned(ExecChunking{5}),
-                        ExecPolicy(), ExecPolicy::serial(),
-                        ExecPolicy::pinned()}) {
+                        ExecPolicy(), ExecPolicy::serial()}) {
     std::mutex mu;
     std::vector<std::uint8_t> seen(143, 0);
     std::set<std::size_t> chunks;
@@ -118,46 +113,15 @@ TEST(ExecPolicy, ReduceCombinesInAscendingChunkOrder) {
   EXPECT_EQ(run(ExecPolicy::pooled(nullptr, ExecChunking{5})), want);
 }
 
-TEST(ExecPolicy, PinnedRunsChunksOnTheScheduledWorkers) {
-  // The static cyclic schedule that makes chunk-keyed workspaces
-  // NUMA-local: chunk c must execute on worker chunk_worker(c) = c % W of
-  // the pinned pool, every time.
-  const auto p = ExecPolicy::pinned(ExecChunking{4});
-  EXPECT_TRUE(p.is_pinned());
-  EXPECT_FALSE(ExecPolicy().is_pinned());
-  EXPECT_FALSE(ExecPolicy::serial().is_pinned());
-  ThreadPool& pool = p.pool();
-  EXPECT_TRUE(pool.pinned());
-  EXPECT_EQ(&pool, &ThreadPool::pinned_global());
-
-  const std::size_t n = pool.size() * 8 + 5;
-  const std::size_t chunks = p.num_chunks(n);
-  std::vector<int> ran_on(chunks, -2);
-  for (int repeat = 0; repeat < 3; ++repeat) {
-    p.for_chunks(0, n, [&](std::size_t, std::size_t, std::size_t chunk) {
-      ran_on[chunk] = pool.current_worker_index();
-    });
-    for (std::size_t c = 0; c < chunks; ++c) {
-      ASSERT_EQ(ran_on[c], static_cast<int>(p.chunk_worker(c)))
-          << "chunk " << c << " repeat " << repeat;
-      ASSERT_EQ(p.chunk_node(c), pool.worker_node(p.chunk_worker(c)));
-    }
-  }
-  // Serial policies nominally place everything on worker/node 0.
-  EXPECT_EQ(ExecPolicy::serial().chunk_worker(7), 0u);
-  EXPECT_EQ(ExecPolicy::serial().chunk_node(7), 0);
-}
-
 TEST(ExecPolicy, PinnedMatchesSerialTilingAndResults) {
   // Same explicit chunk size ⇒ identical chunk index → range mapping
-  // across Serial / Pool / pinned, which is what lets consumers key
-  // workspaces on the chunk index under any policy.
+  // across Serial and the (pinned) global pool, which is what lets
+  // consumers key workspaces on the chunk index under any policy.
   for (std::size_t chunk_size : {std::size_t{1}, std::size_t{7}}) {
     std::vector<std::vector<std::size_t>> tilings;
     for (const auto& p :
          {ExecPolicy::serial(ExecChunking{chunk_size}),
-          ExecPolicy::pooled(nullptr, ExecChunking{chunk_size}),
-          ExecPolicy::pinned(ExecChunking{chunk_size})}) {
+          ExecPolicy::pooled(nullptr, ExecChunking{chunk_size})}) {
       std::mutex mu;
       std::vector<std::size_t> tiling(3 * p.num_chunks(100));
       p.for_chunks(0, 100, [&](std::size_t c0, std::size_t c1,
@@ -170,27 +134,13 @@ TEST(ExecPolicy, PinnedMatchesSerialTilingAndResults) {
       tilings.push_back(std::move(tiling));
     }
     EXPECT_EQ(tilings[0], tilings[1]);
-    EXPECT_EQ(tilings[0], tilings[2]);
   }
-}
-
-TEST(ExecPolicy, ChunkArenaKeepsSlotAddressesStable) {
-  ChunkArena<std::vector<int>> arena;
-  arena.ensure(3);
-  std::vector<int>* first = &arena.at(0);
-  arena.at(0).assign(100, 7);
-  arena.ensure(64);  // growth must not move existing slots
-  EXPECT_EQ(&arena.at(0), first);
-  EXPECT_EQ(arena.at(0).size(), 100u);
-  EXPECT_EQ(arena.size(), 64u);
-  arena.ensure(2);  // never shrinks
-  EXPECT_EQ(arena.size(), 64u);
 }
 
 TEST(ExecPolicy, NestedPooledUseRunsInlineWithoutDeadlock) {
   // A pooled policy invoked from inside a worker of the same pool must run
-  // inline (ThreadPool::parallel_for's nested rule) — saturating the pool
-  // with outer tasks that each fan out again must still terminate.
+  // inline — saturating the pool with outer tasks that each fan out again
+  // must still terminate.
   const std::size_t outer = ThreadPool::global().size() * 4 + 3;
   std::vector<std::size_t> sums(outer, 0);
   ExecPolicy{}.for_each(0, outer, [&](std::size_t o) {
@@ -199,19 +149,6 @@ TEST(ExecPolicy, NestedPooledUseRunsInlineWithoutDeadlock) {
     sums[o] = s;
   });
   for (std::size_t o = 0; o < outer; ++o) EXPECT_EQ(sums[o], 4950u);
-
-  // Same property for pinned policies: a directed schedule issued from
-  // inside a pinned worker degrades to inline execution instead of
-  // waiting on directed queues only blocked workers could drain.
-  const auto pinned = ExecPolicy::pinned(ExecChunking{1});
-  const std::size_t pouter = pinned.pool().size() * 4 + 3;
-  std::vector<std::size_t> psums(pouter, 0);
-  pinned.for_each(0, pouter, [&](std::size_t o) {
-    std::size_t s = 0;
-    pinned.for_each(0, 100, [&](std::size_t i) { s += i; });
-    psums[o] = s;
-  });
-  for (std::size_t o = 0; o < pouter; ++o) EXPECT_EQ(psums[o], 4950u);
 }
 
 TEST(ExecPolicy, MultiplyIsBitwiseIdenticalAcrossPolicies) {
@@ -241,16 +178,11 @@ TEST(ExecPolicy, SweepIsBitwiseIdenticalSerialVsPool) {
   const auto serial =
       characterise_multiplier(device, cfg, 4, ss, ExecPolicy::serial());
   const auto pooled = characterise_multiplier(device, cfg, 4, ss, ExecPolicy{});
-  const auto pinned =
-      characterise_multiplier(device, cfg, 4, ss, ExecPolicy::pinned());
   for (std::uint32_t m = 0; m < 16; ++m)
     for (double f : ss.freqs_mhz) {
       ASSERT_EQ(serial.variance(m, f), pooled.variance(m, f));
       ASSERT_EQ(serial.mean_error(m, f), pooled.mean_error(m, f));
       ASSERT_EQ(serial.error_rate(m, f), pooled.error_rate(m, f));
-      ASSERT_EQ(serial.variance(m, f), pinned.variance(m, f));
-      ASSERT_EQ(serial.mean_error(m, f), pinned.mean_error(m, f));
-      ASSERT_EQ(serial.error_rate(m, f), pinned.error_rate(m, f));
     }
 }
 
@@ -321,20 +253,13 @@ TEST(ExecPolicy, ProjectBatchIsBitwiseIdenticalAcrossChunkSizes) {
     circuit.project_batch(batch, ref_ys);
   }
   for (std::size_t chunk : {std::size_t{1}, std::size_t{3}, std::size_t{16}}) {
-    for (const bool pin : {false, true}) {
-      ProjectionCircuit circuit(design, device, plan, wl_x, nullptr, 42);
-      circuit.set_exec_policy(pin
-                                  ? ExecPolicy::pinned(ExecChunking{chunk})
-                                  : ExecPolicy::pooled(nullptr,
-                                                       ExecChunking{chunk}));
-      std::vector<std::vector<double>> ys;
-      circuit.project_batch(batch, ys);
-      ASSERT_EQ(ys.size(), ref_ys.size());
-      for (std::size_t s = 0; s < ys.size(); ++s)
-        ASSERT_EQ(ys[s], ref_ys[s])
-            << "chunk size " << chunk << (pin ? " pinned" : "") << " sample "
-            << s;
-    }
+    ProjectionCircuit circuit(design, device, plan, wl_x, nullptr, 42);
+    circuit.set_exec_policy(ExecPolicy::pooled(nullptr, ExecChunking{chunk}));
+    std::vector<std::vector<double>> ys;
+    circuit.project_batch(batch, ys);
+    ASSERT_EQ(ys.size(), ref_ys.size());
+    for (std::size_t s = 0; s < ys.size(); ++s)
+      ASSERT_EQ(ys[s], ref_ys[s]) << "chunk size " << chunk << " sample " << s;
   }
 }
 

@@ -275,7 +275,7 @@ TEST_F(Algorithm1Test, DesignsDoNotDependOnTheScheduleOrPolicy) {
   constexpr std::uint64_t kGolden = 0x7ec86dd26c77058dull;
   for (const auto& exec :
        {ExecPolicy::serial(), ExecPolicy::pooled(),
-        ExecPolicy::pooled(nullptr, ExecChunking{1}), ExecPolicy::pinned()}) {
+        ExecPolicy::pooled(nullptr, ExecChunking{1})}) {
     OptimisationFramework of(settings_, x_train_, models_, area_);
     const std::uint64_t got = design_checksum(of.run(exec));
     EXPECT_EQ(got, kGolden) << std::hex << "got 0x" << got;

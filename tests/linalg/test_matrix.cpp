@@ -5,8 +5,8 @@
 #include <cmath>
 #include <cstdint>
 
+#include "common/exec_policy.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "reference/multiply_naive.hpp"
 
 namespace oclp {
@@ -186,8 +186,8 @@ TEST(Multiply, PooledMatchesSerialBitwise) {
   const Matrix b = random_matrix(9, 23, 15);
   const Matrix serial = a * b;
   ThreadPool pool(4);
-  const Matrix pooled = multiply(a, b, &pool);
-  const Matrix no_pool = multiply(a, b, nullptr);
+  const Matrix pooled = multiply(a, b, ExecPolicy::pooled(&pool));
+  const Matrix no_pool = multiply(a, b, ExecPolicy::serial());
   ASSERT_TRUE(pooled.same_shape(serial));
   for (std::size_t i = 0; i < serial.rows(); ++i)
     for (std::size_t j = 0; j < serial.cols(); ++j) {
@@ -208,7 +208,8 @@ TEST(Multiply, NaiveGoldenReferenceAgrees) {
 
 TEST(Multiply, ShapeMismatchThrows) {
   ThreadPool pool(2);
-  EXPECT_THROW(multiply(Matrix(2, 3), Matrix(2, 3), &pool), CheckError);
+  EXPECT_THROW(multiply(Matrix(2, 3), Matrix(2, 3), ExecPolicy::pooled(&pool)),
+               CheckError);
   EXPECT_THROW(ref::multiply_naive(Matrix(2, 3), Matrix(2, 3)), CheckError);
 }
 
