@@ -2,8 +2,12 @@
 // over-clocked Linear Projection design behind the ProjectionServer and
 // measures
 //
-//  1. throughput vs micro-batch size — the max_batch / max_wait dispatcher
-//     trade-off under a closed-loop load of identical request streams;
+//  1. serving capacity vs micro-batch size — a paused one-worker server
+//     preloaded with one request stream, resumed and timed while it
+//     empties its queue (the repository benchmark's drain), per max_batch,
+//     with the batch-64 drain's served outputs checked bit for bit against
+//     the scalar loop of the double-walk reference, and the row core's
+//     gated ns/sample on its own;
 //  2. batch scaling of the projection kernel itself — samples/sec of the
 //     batched run_stream path (ProjectionCircuit::project_batch) against
 //     the per-sample scalar loop of the double-walk reference
@@ -15,9 +19,10 @@
 //     stream in full (ProjectionCircuit::set_slack_gate), at a clock
 //     whose shortest drawable period clears the multipliers' critical
 //     path, with a bitwise checksum;
-//  4. worker pinning — full-stream project_batch at batch 64 and 1024
-//     inline, on an unpinned local pool and on the pinned global pool,
-//     with a bitwise checksum over all three;
+//  4. worker pinning and the inline crossover — full-stream project_batch
+//     at batch 4 to 1024 inline, on an unpinned local pool, on the pinned
+//     global pool and under the circuit's default rule, with a bitwise
+//     checksum over all four;
 //  5. the degradation trace: a temperature-derate step injected mid-run,
 //     the sampled safe-frequency checks catching the error-rate breach,
 //     the FrequencyGovernor stepping the clock down to the characterised
@@ -31,6 +36,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -92,32 +98,45 @@ struct ThroughputPoint {
   double mean_batch_size = 0.0;
 };
 
-ThroughputPoint throughput_at_batch(std::size_t max_batch,
-                                    std::size_t requests) {
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+// One capacity drain: a paused one-worker server is preloaded with the
+// whole request stream (the front door is not timed), then resumed and
+// timed until its queue is empty and its last batch done. `served` (may
+// be null) receives each request's outputs by id.
+ThroughputPoint drain_at_batch(std::size_t max_batch,
+                               const std::vector<std::vector<std::uint32_t>>& stream,
+                               std::vector<std::vector<double>>* served) {
   const auto design = serve_design(150.0);
   const Device device = make_device();
   auto plan = simulated_plan(design, reference_location_1());
   plan.with_jitter = false;
 
   ServeConfig cfg;
-  cfg.workers = 2;
-  cfg.queue_capacity = requests;  // closed-loop: nothing is shed
+  cfg.workers = 1;
+  cfg.queue_capacity = stream.size();  // nothing is shed
   cfg.max_batch = max_batch;
-  cfg.max_wait_ms = 0.0;  // dispatch whatever has queued up
+  cfg.max_wait_ms = 0.0;
   cfg.check_fraction = 0.05;
+  cfg.start_paused = true;
   cfg.governor.f_target_mhz = 150.0;
   cfg.governor.f_floor_mhz = 100.0;
 
-  ProjectionServer server(design, device, plan, kWlX, nullptr, cfg, nullptr);
-  const auto stream = request_stream(requests, 0xBE7C4);
-
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < requests; ++i)
+  ProjectionServer::ResultCallback collect;
+  if (served != nullptr) {
+    served->assign(stream.size(), {});
+    collect = [served](const ServeResult& r) { (*served)[r.id - 1] = r.y; };
+  }
+  ProjectionServer server(design, device, plan, kWlX, nullptr, cfg, collect);
+  for (std::size_t i = 0; i < stream.size(); ++i)
     server.submit({static_cast<std::uint64_t>(i + 1), stream[i], 0.0});
+  const auto t0 = std::chrono::steady_clock::now();
+  server.resume();
   server.wait_idle();
-  const double dt =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  const double dt = seconds_since(t0);
   const auto snap = server.metrics_snapshot();
 
   ThroughputPoint p;
@@ -127,6 +146,66 @@ ThroughputPoint throughput_at_batch(std::size_t max_batch,
   p.requests_per_sec = static_cast<double>(snap.served) / dt;
   p.mean_batch_size = snap.mean_batch_size;
   return p;
+}
+
+struct Throughput {
+  std::vector<ThroughputPoint> points;
+  /// The gated row core alone: project_rows over blocks of 64 rows at the
+  /// drains' clock, where every multiplier is gated.
+  double row_kernel_ns_per_sample = 0.0;
+  bool checksum_match = true;  ///< batch-64 served outputs == scalar loop
+};
+
+// Capacity drains per max_batch, in rounds (every size once per round, the
+// best of five kept, so a slow spell of the host does not land on one
+// size), plus the row core's own cost at batch 64. The batch-64 drain's
+// outputs are compared bit for bit with the double-walk reference's scalar
+// loop over the same stream (no jitter, so its clock seed is moot).
+Throughput run_throughput(bool smoke) {
+  constexpr int kRounds = 5;
+  const std::size_t batches[] = {1, 4, 16, 64};
+  const auto stream = request_stream(smoke ? 8192 : 32768, 0xBE7C4);
+  Throughput out;
+  out.points.resize(std::size(batches));
+  std::vector<std::vector<double>> served;
+  for (int round = 0; round < kRounds; ++round)
+    for (std::size_t b = 0; b < std::size(batches); ++b) {
+      const bool last = batches[b] == 64 && round == 0;
+      const ThroughputPoint p =
+          drain_at_batch(batches[b], stream, last ? &served : nullptr);
+      if (p.requests_per_sec > out.points[b].requests_per_sec) out.points[b] = p;
+    }
+
+  const auto design = serve_design(150.0);
+  const Device device = make_device();
+  auto plan = simulated_plan(design, reference_location_1());
+  plan.with_jitter = false;
+  ref::ScalarProjection scalar(design, device, plan, kWlX, nullptr, 1);
+  std::vector<double> y;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    scalar.project(stream[i], y);
+    out.checksum_match =
+        out.checksum_match && served[i].size() == y.size() &&
+        std::memcmp(served[i].data(), y.data(), y.size() * sizeof(double)) == 0;
+  }
+
+  ProjectionCircuit circuit(design, device, plan, kWlX, nullptr, 1);
+  const std::size_t p = design.dims_p(), k = design.dims_k();
+  constexpr std::size_t kBatch = 64;
+  const std::size_t n = stream.size() / kBatch * kBatch;
+  std::vector<std::uint32_t> rows;
+  for (std::size_t i = 0; i < n; ++i)
+    rows.insert(rows.end(), stream[i].begin(), stream[i].end());
+  std::vector<double> ys(kBatch * k);
+  double best = 1e300;
+  for (int round = 0; round < kRounds; ++round) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::size_t s0 = 0; s0 < n; s0 += kBatch)
+      circuit.project_rows(rows.data() + s0 * p, kBatch, ys.data());
+    best = std::min(best, seconds_since(t0));
+  }
+  out.row_kernel_ns_per_sample = best * 1e9 / static_cast<double>(n);
+  return out;
 }
 
 struct BatchScalingPoint {
@@ -146,11 +225,6 @@ struct BatchScaling {
   double batched_vs_scalar_speedup = 0.0;  ///< at the largest batch size
   bool checksum_match = true;  ///< batched outputs bitwise equal to scalar
 };
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 // Kernel-level batch scaling: the same jittered request stream pushed
 // through the double-walk reference loop (ref::ScalarProjection, one timed
@@ -391,15 +465,16 @@ SlackGate run_slack_gate(bool smoke) {
 
 struct PoolPinningPoint {
   std::size_t batch = 0;
-  double serial_samples_per_sec = 0.0;
+  double inline_samples_per_sec = 0.0;
   double unpinned_samples_per_sec = 0.0;
   double pinned_samples_per_sec = 0.0;
+  double default_samples_per_sec = 0.0;  ///< the circuit's own rule
 };
 
 struct PoolPinning {
   std::size_t samples = 0;
   std::size_t workers = 0;
-  std::vector<PoolPinningPoint> points;  ///< batch 64, then 1024
+  std::vector<PoolPinningPoint> points;  ///< ascending batch size
   bool checksum_match = true;  ///< every policy's outputs bitwise equal
 };
 
@@ -407,10 +482,12 @@ struct PoolPinning {
 // with the gate off, so every batch runs every multiplier stream in full —
 // the only serving work that fans out. Each batch size runs inline
 // (ExecPolicy::serial()), on an unpinned local pool of the global pool's
-// size, and on the pinned global pool, one chunk per worker as
-// project_batch's default. The three run in rounds, every policy once per
-// round, and each keeps its best round; the policy may only move the
-// speed, so every output must agree bit for bit.
+// size, on the pinned global pool (one chunk per worker, as project_rows'
+// default), and under the circuit's default rule (inline below
+// ProjectionCircuit::kInlineStreamBatch samples, the pinned pool from
+// there). Every (batch, policy) pair runs once per round, the rounds
+// interleave them, and each keeps its best round; the policy may only move
+// the speed, so every output must agree bit for bit.
 PoolPinning run_pool_pinning(bool smoke) {
   const auto design = serve_design(150.0);
   const Device device = make_device();
@@ -419,21 +496,24 @@ PoolPinning run_pool_pinning(bool smoke) {
   constexpr std::uint64_t kClockSeed = 42;
   constexpr int kRounds = 5;
   constexpr ExecChunking kOnePerWorker{0, 1};
+  const std::size_t batches[] = {4, 8, 16, 32, 64, 128, 256, 1024};
 
   PoolPinning out;
-  out.samples = smoke ? 8192 : 32768;
+  out.samples = smoke ? 4096 : 32768;
   out.workers = ThreadPool::global().size();
   const auto stream = request_stream(out.samples, 0x9199);
   ThreadPool unpinned(0);
-  const ExecPolicy policies[] = {ExecPolicy::serial(),
-                                 ExecPolicy::pooled(&unpinned, kOnePerWorker),
-                                 ExecPolicy::pooled(nullptr, kOnePerWorker)};
+  // nullopt: the circuit's default rule.
+  const std::optional<ExecPolicy> policies[] = {
+      ExecPolicy::serial(), ExecPolicy::pooled(&unpinned, kOnePerWorker),
+      ExecPolicy::pooled(nullptr, kOnePerWorker), std::nullopt};
+  constexpr std::size_t kPolicies = std::size(policies);
 
-  const auto run = [&](std::size_t batch, const ExecPolicy& exec,
+  const auto run = [&](std::size_t batch, const std::optional<ExecPolicy>& exec,
                        std::vector<std::vector<double>>& all) {
     ProjectionCircuit circuit(design, device, plan, kWlX, nullptr, kClockSeed);
     circuit.set_slack_gate(false);
-    circuit.set_exec_policy(exec);
+    if (exec) circuit.set_exec_policy(*exec);
     std::vector<const std::vector<std::uint32_t>*> inputs;
     std::vector<std::vector<double>> ys;
     all.resize(out.samples);
@@ -447,23 +527,28 @@ PoolPinning run_pool_pinning(bool smoke) {
     return seconds_since(t0);
   };
 
-  for (std::size_t batch : {std::size_t{64}, std::size_t{1024}}) {
-    std::vector<double> best_s(std::size(policies), 1e300);
-    std::vector<std::vector<std::vector<double>>> ys(std::size(policies));
-    for (int round = 0; round < kRounds; ++round)
-      for (std::size_t p = 0; p < std::size(policies); ++p)
-        best_s[p] = std::min(best_s[p], run(batch, policies[p], ys[p]));
-    for (std::size_t p = 1; p < std::size(policies); ++p)
-      for (std::size_t s = 0; s < out.samples; ++s)
-        out.checksum_match =
-            out.checksum_match && ys[p][s].size() == ys[0][s].size() &&
-            std::memcmp(ys[p][s].data(), ys[0][s].data(),
-                        ys[0][s].size() * sizeof(double)) == 0;
-    const auto rate = [&](double sec) {
-      return static_cast<double>(out.samples) / sec;
-    };
+  const std::size_t nb = std::size(batches);
+  std::vector<double> best_s(nb * kPolicies, 1e300);
+  std::vector<std::vector<std::vector<double>>> ys(kPolicies);
+  for (int round = 0; round < kRounds; ++round)
+    for (std::size_t b = 0; b < nb; ++b)
+      for (std::size_t p = 0; p < kPolicies; ++p) {
+        best_s[b * kPolicies + p] =
+            std::min(best_s[b * kPolicies + p], run(batches[b], policies[p], ys[p]));
+        if (p == 0) continue;
+        for (std::size_t s = 0; s < out.samples; ++s)
+          out.checksum_match =
+              out.checksum_match && ys[p][s].size() == ys[0][s].size() &&
+              std::memcmp(ys[p][s].data(), ys[0][s].data(),
+                          ys[0][s].size() * sizeof(double)) == 0;
+      }
+  const auto rate = [&](double sec) {
+    return static_cast<double>(out.samples) / sec;
+  };
+  for (std::size_t b = 0; b < nb; ++b) {
+    const double* t = best_s.data() + b * kPolicies;
     out.points.push_back(
-        {batch, rate(best_s[0]), rate(best_s[1]), rate(best_s[2])});
+        {batches[b], rate(t[0]), rate(t[1]), rate(t[2]), rate(t[3])});
   }
   return out;
 }
@@ -527,8 +612,7 @@ DegradationTrace degradation_trace(bool smoke) {
   return trace;
 }
 
-void write_json(const char* path, bool smoke,
-                const std::vector<ThroughputPoint>& points,
+void write_json(const char* path, bool smoke, const Throughput& throughput,
                 const BatchScaling& scaling, const SettleKernel& kernel,
                 const SlackGate& gate, const PoolPinning& pinning,
                 const DegradationTrace& trace) {
@@ -537,21 +621,28 @@ void write_json(const char* path, bool smoke,
   os << "{\n  \"bench\": \"serve\",\n"
      << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
      << "  \"host\": " << bench::host_json() << ",\n"
-     << "  \"throughput_vs_batch\": {\n    \"points\": [\n";
+     << "  \"throughput_vs_batch\": {\n    \"measure\": \"drain\",\n"
+     << "    \"points\": [\n";
+  const auto& points = throughput.points;
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& p = points[i];
     os << "      {\"max_batch\": " << p.max_batch << ", \"served\": " << p.served
        << ", \"seconds\": " << p.seconds
        << ", \"requests_per_sec\": " << p.requests_per_sec
+       << ", \"ns_per_request\": " << 1e9 / p.requests_per_sec
        << ", \"mean_batch_size\": " << p.mean_batch_size << "}"
        << (i + 1 < points.size() ? "," : "") << "\n";
   }
-  // End-to-end serving gain of micro-batching: server req/s at the largest
-  // max_batch over max_batch 1.
+  // End-to-end serving gain of micro-batching: drained req/s at the
+  // largest max_batch over max_batch 1.
   os << "    ],\n"
      << "    \"server_batch64_vs_batch1\": "
      << points.back().requests_per_sec / points.front().requests_per_sec
-     << "\n  },\n"
+     << ",\n"
+     << "    \"gated_row_kernel_b64_ns_per_sample\": "
+     << throughput.row_kernel_ns_per_sample << ",\n"
+     << "    \"served_vs_scalar_checksum_match\": "
+     << (throughput.checksum_match ? "true" : "false") << "\n  },\n"
      << "  \"batch_scaling\": {\n"
      << "    \"samples\": " << scaling.samples << ",\n"
      << "    \"scalar_samples_per_sec\": " << scaling.scalar_samples_per_sec
@@ -601,15 +692,22 @@ void write_json(const char* path, bool smoke,
   for (std::size_t i = 0; i < pinning.points.size(); ++i) {
     const auto& p = pinning.points[i];
     os << "      {\"batch\": " << p.batch
-       << ", \"serial_samples_per_sec\": " << p.serial_samples_per_sec
+       << ", \"inline_samples_per_sec\": " << p.inline_samples_per_sec
        << ", \"unpinned_samples_per_sec\": " << p.unpinned_samples_per_sec
-       << ", \"pinned_samples_per_sec\": " << p.pinned_samples_per_sec << "}"
+       << ", \"pinned_samples_per_sec\": " << p.pinned_samples_per_sec
+       << ", \"default_samples_per_sec\": " << p.default_samples_per_sec << "}"
        << (i + 1 < pinning.points.size() ? "," : "") << "\n";
   }
-  os << "    ],\n";
+  os << "    ],\n"
+     << "    \"inline_below\": " << ProjectionCircuit::kInlineStreamBatch
+     << ",\n";
   for (const auto& p : pinning.points)
-    os << "    \"pinned_vs_unpinned_b" << p.batch << "\": "
-       << p.pinned_samples_per_sec / p.unpinned_samples_per_sec << ",\n";
+    if (p.batch == 64 || p.batch == 1024)
+      os << "    \"pinned_vs_unpinned_b" << p.batch << "\": "
+         << p.pinned_samples_per_sec / p.unpinned_samples_per_sec << ",\n";
+  for (const auto& p : pinning.points)
+    os << "    \"pinned_vs_inline_b" << p.batch << "\": "
+       << p.pinned_samples_per_sec / p.inline_samples_per_sec << ",\n";
   os << "    \"pool_pinning_checksum_match\": "
      << (pinning.checksum_match ? "true" : "false") << "\n"
      << "  },\n"
@@ -627,22 +725,20 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i)
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
 
-  const std::size_t requests = smoke ? 1024 : 4096;
-  // Best of five closed-loop runs per batch size (a smoke run lasts
-  // milliseconds, well inside scheduler noise), run in rounds, every size
-  // once per round, so a slow spell of the host does not land on one size.
-  const std::size_t batches[] = {1, 4, 16, 64};
-  std::vector<ThroughputPoint> points(std::size(batches));
-  for (int round = 0; round < 5; ++round)
-    for (std::size_t b = 0; b < std::size(batches); ++b) {
-      const ThroughputPoint p = throughput_at_batch(batches[b], requests);
-      if (p.requests_per_sec > points[b].requests_per_sec) points[b] = p;
-    }
-  for (const auto& p : points)
-    std::printf("throughput: max_batch=%-3zu %8.0f req/s (mean batch %.2f)\n",
-                p.max_batch, p.requests_per_sec, p.mean_batch_size);
+  const auto throughput = run_throughput(smoke);
+  for (const auto& p : throughput.points)
+    std::printf(
+        "throughput: max_batch=%-3zu %8.0f req/s drained, %6.1f ns/request "
+        "(mean batch %.2f)\n",
+        p.max_batch, p.requests_per_sec, 1e9 / p.requests_per_sec,
+        p.mean_batch_size);
   std::printf("throughput: max_batch 64 vs 1 %.2fx\n",
-              points.back().requests_per_sec / points.front().requests_per_sec);
+              throughput.points.back().requests_per_sec /
+                  throughput.points.front().requests_per_sec);
+  std::printf("throughput: gated row kernel %.2f ns/sample at batch 64\n",
+              throughput.row_kernel_ns_per_sample);
+  std::printf("throughput: served vs scalar checksum %s\n",
+              throughput.checksum_match ? "MATCH" : "MISMATCH");
 
   const auto scaling = run_batch_scaling(smoke);
   std::printf("batch scaling: scalar %8.0f samples/s\n",
@@ -674,11 +770,11 @@ int main(int argc, char** argv) {
   const auto pinning = run_pool_pinning(smoke);
   for (const auto& p : pinning.points)
     std::printf(
-        "pool pinning: batch %-4zu serial %8.0f, unpinned %8.0f, pinned "
-        "%8.0f samples/s (pinned vs unpinned %.2fx)\n",
-        p.batch, p.serial_samples_per_sec, p.unpinned_samples_per_sec,
-        p.pinned_samples_per_sec,
-        p.pinned_samples_per_sec / p.unpinned_samples_per_sec);
+        "pool pinning: batch %-4zu inline %8.0f, unpinned %8.0f, pinned "
+        "%8.0f, default %8.0f samples/s (pinned vs inline %.2fx)\n",
+        p.batch, p.inline_samples_per_sec, p.unpinned_samples_per_sec,
+        p.pinned_samples_per_sec, p.default_samples_per_sec,
+        p.pinned_samples_per_sec / p.inline_samples_per_sec);
   std::printf("pool pinning: %zu workers, checksum %s\n", pinning.workers,
               pinning.checksum_match ? "MATCH" : "MISMATCH");
 
@@ -693,8 +789,8 @@ int main(int argc, char** argv) {
       trace.snap.frequency_timeline.size(),
       static_cast<unsigned long long>(trace.snap.latency_overflow));
 
-  write_json("BENCH_serve.json", smoke, points, scaling, kernel, gate, pinning,
-             trace);
+  write_json("BENCH_serve.json", smoke, throughput, scaling, kernel, gate,
+             pinning, trace);
   std::printf("-> BENCH_serve.json\n");
   return 0;
 }

@@ -5,7 +5,7 @@
 // deterministic fixed-order reduction.
 //
 // The policy deliberately has no effect on *results*: every consumer
-// (charlib::sweep, ProjectionCircuit::project_batch, Gibbs scoring,
+// (charlib::sweep, ProjectionCircuit::project_rows, Gibbs scoring,
 // algorithm1, linalg::multiply) either writes distinct slots from its
 // workers or reduces the per-chunk partials serially in ascending chunk
 // order, so Serial and Pool — at any chunk size — are bitwise identical.

@@ -1,6 +1,6 @@
 // Fixed-size worker pool with one blocking task queue. ExecPolicy fans
 // the characterisation sweep engine, the design evaluators and
-// project_batch's full streams out over it; the serving runtime runs its
+// project_rows' full streams out over it; the serving runtime runs its
 // batch tasks on a pool of its own.
 //
 // Optionally pinned: worker i is bound to topology().cpu_for_worker(i)

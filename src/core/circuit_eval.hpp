@@ -11,13 +11,15 @@
 //
 // The datapath mirrors Section V: per output dimension k, P LUT-based
 // generic multipliers compute |λ_pk|·x_p; signs and accumulation happen in
-// the (pipelined, timing-safe) adder tree; the circuit subtracts the
-// characterised mean error so ε is zero-mean (Section V-A).
+// the (pipelined, timing-safe) adder tree on integer product words, scaled
+// by 2^-(wl+wl_x) once at the end; the circuit subtracts the characterised
+// mean error so ε is zero-mean (Section V-A).
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "charlib/error_model.hpp"
@@ -51,7 +53,11 @@ class ProjectionCircuit {
  public:
   /// `models` supplies the characterised mean-error constants the circuit
   /// subtracts, keyed by each column's multiplier configuration; pass
-  /// nullptr to skip the correction (ablation).
+  /// nullptr to skip the correction (ablation). Every column must satisfy
+  /// the exact reduction's bound, P·(2^(wl+wl_x) − 1) < 2^53 — P terms of
+  /// at most the widest word a capture can read, which also bounds the
+  /// settled products P·(2^wl − 1)·(2^wl_x − 1); a CheckError names the
+  /// first output dimension beyond it.
   ProjectionCircuit(const LinearProjectionDesign& design, const Device& device,
                     const CircuitPlan& plan, int wl_x,
                     const ErrorModelMap* models,
@@ -60,43 +66,75 @@ class ProjectionCircuit {
   std::size_t dims_p() const { return design_.dims_p(); }
   std::size_t dims_k() const { return design_.dims_k(); }
 
-  /// One clocked sample through all K·P multipliers: project_batch of
-  /// one. The out-param overload reuses the caller's buffer (no allocation
-  /// once warm).
+  /// The row core: `rows` holds n samples of P input codes, row-major
+  /// (sample s at rows[s·P, (s+1)·P)), and `y` receives their n×K factor
+  /// vectors, row-major. Every code is checked first: a CheckError names
+  /// the row and input of a code of wl_x bits or more, and a rejected call
+  /// draws no clock and moves no register.
+  ///
+  /// Timed projection: the whole block clocks through every multiplier in
+  /// one OverclockSim::run_stream pass (64-lane settled eval +
+  /// integer-picosecond sparse settle propagation), and each sample is
+  /// captured at its own jittered period — pre-converted once to PsGrid
+  /// ticks — via the O(toggled) unsigned-compare sampling rule. Bitwise
+  /// identical to projecting the samples one at a time in order, including
+  /// the per-sample ClockGen jitter draw order wherever a capture reads the
+  /// period (same clock_seed ⇒ same clocks), and freely interleavable with
+  /// project()/set_clock() (the multiplier register state carries across).
+  /// No steady-state allocation.
+  ///
+  /// Slack gate: a multiplier whose structural critical path fits the
+  /// block's shortest jittered period cannot capture a stale bit (the slack
+  /// theorem, DESIGN.md §12), so it runs no stream: its term is
+  /// sign·magnitude·x, exactly the settled word a capture would read. Its
+  /// sim is rebuilt lazily — reset() to the last code it saw, the state a
+  /// full stream would have left — before its next full stream. When every
+  /// multiplier is gated at the shortest period the clock can draw at all
+  /// (gated_at_every_period), the block draws no period: no capture would
+  /// read one.
+  ///
+  /// Reduction: every term of output column k is an integer times
+  /// 2^-(wl_k+wl_x) — sign·magnitude·x for a gated multiplier, sign·word for
+  /// a captured one — so each column is summed as an exact int64, converted
+  /// and scaled once, then mean-corrected. The constructor's bound keeps
+  /// every partial sum below 2^53, which makes this bitwise the double sum
+  /// in any order (DESIGN.md §8).
+  ///
+  /// Full streams of blocks below kInlineStreamBatch samples run inline on
+  /// the calling thread (the measured fan-out crossover, DESIGN.md §12);
+  /// larger ones are distributed over the global pool, one chunk per
+  /// worker, with one reusable workspace per chunk — or per the policy
+  /// set_exec_policy installed. stream_counts() tells gated and full
+  /// streams apart.
+  void project_rows(const std::uint32_t* rows, std::size_t n, double* y);
+
+  /// The settled functional value of n rows — what the circuit would
+  /// produce with unlimited timing slack: per output column, the exact
+  /// integer Σ_p sign·magnitude·x_p scaled by 2^-(wl+wl_x), with no
+  /// mean-error correction (the settled datapath is exact; corrections are
+  /// an over-clocking artefact). The compiled multipliers compute
+  /// magnitude·x exactly (tests/mult/test_exact_products.cpp), so this is
+  /// also the functional value of the placed datapath. Timing-free: it
+  /// never touches clock or register state. Codes are checked as in
+  /// project_rows.
+  void settled_rows(const std::uint32_t* rows, std::size_t n, double* y) const;
+
+  /// One clocked sample: project_rows of one row. The out-param overload
+  /// reuses the caller's buffer (no allocation once warm).
   void project(const std::vector<std::uint32_t>& x_codes, std::vector<double>& y);
   std::vector<double> project(const std::vector<std::uint32_t>& x_codes);
 
-  /// Batched timed projection: clock the whole micro-batch through every
-  /// multiplier in one OverclockSim::run_stream pass (64-lane settled
-  /// eval + integer-picosecond sparse settle propagation), then capture
-  /// each sample at its own jittered period — pre-converted once to PsGrid
-  /// ticks — via the O(toggled) branch-poor unsigned-compare sampling
-  /// rule. Bitwise identical to projecting the samples one at a time in
-  /// order — including the per-sample ClockGen jitter draw order wherever
-  /// a capture reads the period (same clock_seed ⇒ same clocks) and the
-  /// sign/mean-correction accumulation order — and freely interleavable
-  /// with project()/set_clock() (the multiplier register state carries
-  /// across). Every sample is checked first: a CheckError names the row
-  /// and input of a wrong-length vector or a code of wl_x bits or more. No
-  /// steady-state allocation beyond `ys`, which is resized to batch.size()
-  /// rows of K entries; rows keep their capacity across calls.
-  ///
-  /// Slack gate: a multiplier whose structural critical path fits the
-  /// batch's shortest jittered period cannot capture a stale bit (the
-  /// slack theorem, DESIGN.md §12), so it runs no stream: each sample
-  /// contributes (magnitude·x)·sign·2^-(wl+wl_x), bitwise what its settled
-  /// capture would, computed where the reduction sums it. Its sim is
-  /// rebuilt lazily — reset() to the last code it saw, exactly the state a
-  /// full stream would have left — before its next full stream. When every
-  /// multiplier is gated at the shortest period the clock can draw at all
-  /// (gated_at_every_period), the batch draws no period: no capture would
-  /// read one. A batch in which every multiplier is gated, and any
-  /// single-sample batch, runs inline on the calling thread; otherwise the
-  /// K·P multipliers are distributed per the circuit's ExecPolicy
-  /// (default: the global pool, one chunk per worker) with one reusable
-  /// workspace per chunk. stream_counts() tells the two kinds apart.
+  /// project_rows over a vector of per-sample code vectors: each row is
+  /// checked (a CheckError names a null row or one of the wrong length),
+  /// gathered into a row block and projected; `ys` is resized to
+  /// batch.size() rows of K entries, which keep their capacity across
+  /// calls.
   void project_batch(const std::vector<const std::vector<std::uint32_t>*>& batch,
                      std::vector<std::vector<double>>& ys);
+
+  /// Blocks of fewer full-stream samples than this run their streams
+  /// inline: below it a fan-out costs more than it spreads (DESIGN.md §12).
+  static constexpr std::size_t kInlineStreamBatch = 32;
 
   /// The per-clock gate: a multiplier whose critical path is at most the
   /// tick threshold of `min_period_ns` captures its settled word at every
@@ -107,39 +145,33 @@ class ProjectionCircuit {
   static bool gated_at_every_period(std::uint64_t critical_path_ticks,
                                     double min_period_ns);
 
-  /// Multiplier streams project_batch (and so project()) answered by the
-  /// slack gate's arithmetic vs ran in full, since construction.
+  /// Multiplier streams project_rows (and so every entry point above)
+  /// answered by the slack gate's arithmetic vs ran in full, since
+  /// construction.
   struct StreamCounts {
     std::uint64_t gated = 0;
     std::uint64_t full = 0;
   };
   StreamCounts stream_counts() const { return streams_; }
 
-  /// Test and bench hook: with the gate off, project_batch runs every
+  /// Test and bench hook: with the gate off, project_rows runs every
   /// multiplier stream in full. Results are identical either way; only
   /// the speed (and stream_counts()) moves.
   void set_slack_gate(bool enabled);
 
-  /// Replace the policy project_batch distributes multiplier streams
-  /// with. Any policy/chunking produces bitwise-identical projections
-  /// (each multiplier's state lives in its own sim; the reduction is a
-  /// fixed-order serial sum).
+  /// Distribute the full streams of every block of more than one sample
+  /// per `exec` instead of the default (inline below kInlineStreamBatch,
+  /// the global pool from there). Any policy/chunking produces
+  /// bitwise-identical projections: each multiplier's state lives in its
+  /// own sim and writes its own words, and the reduction is exact.
   void set_exec_policy(const ExecPolicy& exec) { exec_ = exec; }
 
-  /// Error-free reference projection of the same input codes (what the
-  /// circuit would produce with unlimited timing slack): per output
-  /// dimension, Σ_p sign·(magnitude·x_p)·2^-(wl+wl_x) summed pp-ascending
-  /// from 0.0, with no mean-error correction (the settled datapath is
-  /// exact; corrections are an over-clocking artefact). The compiled
-  /// multipliers compute magnitude·x exactly (every operand pair is checked
-  /// by tests/mult/test_exact_products.cpp), so this is also the functional
-  /// value of the placed datapath. Timing-free: it never touches clock or
-  /// register state. Codes are checked as in project_batch.
+  /// settled_rows of one code vector. Codes are checked as in
+  /// project_batch.
   std::vector<double> project_exact(const std::vector<std::uint32_t>& x_codes) const;
 
-  /// project_exact for a batch of input-code vectors — the safe-duplicate
-  /// reference the server checks against. `ys` is resized to batch.size()
-  /// rows of K entries.
+  /// settled_rows over a vector of per-sample code vectors (checked as in
+  /// project_batch); `ys` is resized to batch.size() rows of K entries.
   void project_settled(const std::vector<const std::vector<std::uint32_t>*>& batch,
                        std::vector<std::vector<double>>& ys) const;
 
@@ -169,21 +201,15 @@ class ProjectionCircuit {
   void recompute_mean_correction();
   /// Re-decide the per-clock gate for the current clock and gate setting.
   void update_clock_gate();
-  /// Throws unless `x` is P codes, each below 2^wl_x (naming `row`).
-  void check_codes(const std::vector<std::uint32_t>* x, std::size_t row) const;
-  /// project_exact into a caller buffer.
-  void exact_row(const std::vector<std::uint32_t>& x, std::vector<double>& y) const;
+  /// Throws unless `x` is P codes (naming `row`).
+  void check_shape(const std::vector<std::uint32_t>* x, std::size_t row) const;
+  /// Throws unless every code of the n rows is below 2^wl_x, naming the
+  /// offending row (counted from `first_row`) and input.
+  void check_range(const std::uint32_t* rows, std::size_t n,
+                   std::size_t first_row = 0) const;
 
-  /// Multiplier m's settled product with operand `x` as a signed, scaled
-  /// term. Exact: the product is below 2^53 and the scale ±2^-(wl+wl_x),
-  /// so it is bitwise what a capture of the settled word contributes.
-  double exact_term(std::size_t m, std::uint32_t x) const {
-    return static_cast<double>(std::uint64_t{terms_[m].magnitude} * x) *
-           terms_[m].scale;
-  }
-
-  /// project_batch worker scratch: one per shard of the K·P multiplier
-  /// range, reused across batches.
+  /// project_rows worker scratch: one per shard of the K·P multiplier
+  /// range, reused across blocks.
   struct BatchWorkspace {
     OverclockSim::SweepStream stream;
     std::vector<std::uint8_t> inputs;  ///< n × num_inputs row-major bits
@@ -202,13 +228,9 @@ class ProjectionCircuit {
   int wl_x_;
   const ErrorModelMap* models_;                      ///< may be nullptr
   std::vector<std::unique_ptr<OverclockSim>> sims_;  ///< K·P, column-major
-  /// Per multiplier: its coefficient magnitude and signed scale
-  /// sign·2^-(wl+wl_x) (±1 times a power of two, so exact).
-  struct Term {
-    std::uint32_t magnitude;
-    double scale;
-  };
-  std::vector<Term> terms_;
+  std::vector<std::int64_t> coef_;  ///< K·P sign·magnitude, column-major
+  std::vector<double> scale_;       ///< per column: 2^-(wl+wl_x)
+  std::vector<std::uint8_t> all_gated_;  ///< K·P ones: settled_rows' flags
   std::uint64_t max_critical_ticks_ = 0;  ///< over every multiplier
   std::vector<double> mean_correction_;   ///< per (k): Σ_p sign·mean
   double freq_mhz_;
@@ -216,28 +238,32 @@ class ProjectionCircuit {
   std::uint64_t clock_seed_;
   int retargets_ = 0;
   ClockGen clock_;
-  std::vector<const std::vector<std::uint32_t>*> one_in_;  ///< project() batch of one
-  std::vector<std::vector<double>> one_out_;               ///< its output row
   /// Per input: the code of the last sample projected (0, the reset code,
   /// before any) — what a gated multiplier's sim is rebuilt to.
   std::vector<std::uint32_t> last_x_;
   /// Per multiplier: its sim holds the settled state of last_x_ (false
-  /// from construction and after a gated batch, until the next reset()).
+  /// from construction and after a gated block, until the next reset()).
   std::vector<std::uint8_t> sim_synced_;
-  // project_batch scratch, reused across batches.
+  // project_rows scratch, reused across blocks.
   std::vector<std::uint64_t> periods_ticks_;  ///< jittered periods, in ticks
-  std::vector<double> contrib_;  ///< K·P × n captured terms, full streams only
-  std::vector<std::uint8_t> stream_gated_;  ///< per multiplier, this batch
+  std::vector<std::uint32_t> codes_t_;  ///< P × n: the block's codes by input
+  std::vector<std::int64_t> words_;  ///< K·P × n signed captured words
+  std::vector<std::uint8_t> stream_gated_;  ///< per multiplier, this block
+  // project_batch scratch: the gathered row block and its outputs.
+  std::vector<std::uint32_t> batch_rows_;
+  std::vector<double> batch_y_;
   StreamCounts streams_;
   bool slack_gate_ = true;
   /// Every multiplier is gated at every period the current clock can
-  /// draw (and the gate is on): batches draw no period.
+  /// draw (and the gate is on): blocks draw no period.
   bool clock_gated_ = false;
   std::vector<BatchWorkspace> batch_ws_;  ///< one per chunk
-  /// Stream-distribution policy. One chunk per worker: multiplier streams
-  /// are uniform, so finer chunks only add submission overhead. The global
-  /// pool spawns on the first real fan-out, never from construction.
-  ExecPolicy exec_ = ExecPolicy::pooled(nullptr, ExecChunking{0, 1});
+  /// set_exec_policy's policy; unset, full streams fan out over the global
+  /// pool (one chunk per worker: multiplier streams are uniform, so finer
+  /// chunks only add submission overhead) from kInlineStreamBatch samples
+  /// on. The global pool spawns on the first real fan-out, never from
+  /// construction.
+  std::optional<ExecPolicy> exec_;
 };
 
 /// End-to-end hardware evaluation: run `x` (value-domain P×N) through the

@@ -40,16 +40,18 @@ Matrix make_synthetic_dataset(const SyntheticDataConfig& cfg) {
   return x;
 }
 
-std::vector<std::uint32_t> encode_input(const std::vector<double>& x, int wl_x) {
+std::uint32_t encode_code(double x, int wl_x) {
   OCLP_CHECK(wl_x >= 1 && wl_x <= 16);
-  const double scale = static_cast<double>(1u << wl_x);
-  const std::uint32_t max_code = (1u << wl_x) - 1;
+  OCLP_DCHECK(x >= 0.0);
+  const auto c = static_cast<std::uint64_t>(
+      std::llround(x * static_cast<double>(1u << wl_x)));
+  return static_cast<std::uint32_t>(
+      std::min<std::uint64_t>(c, (std::uint64_t{1} << wl_x) - 1));
+}
+
+std::vector<std::uint32_t> encode_input(const std::vector<double>& x, int wl_x) {
   std::vector<std::uint32_t> codes(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    OCLP_DCHECK(x[i] >= 0.0);
-    const auto c = static_cast<std::uint64_t>(std::llround(x[i] * scale));
-    codes[i] = static_cast<std::uint32_t>(std::min<std::uint64_t>(c, max_code));
-  }
+  for (std::size_t i = 0; i < x.size(); ++i) codes[i] = encode_code(x[i], wl_x);
   return codes;
 }
 

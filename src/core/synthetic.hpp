@@ -31,6 +31,10 @@ struct SyntheticDataConfig {
 /// P×N data matrix with values in [0, 1) (one case per column).
 Matrix make_synthetic_dataset(const SyntheticDataConfig& cfg);
 
+/// Quantise one value in [0, 1) to an unsigned `wl_x`-bit input code
+/// (rounded to nearest, clamped to the top code).
+std::uint32_t encode_code(double x, int wl_x);
+
 /// Quantise one value-domain sample to unsigned `wl_x`-bit input codes.
 std::vector<std::uint32_t> encode_input(const std::vector<double>& x, int wl_x);
 

@@ -135,7 +135,7 @@ ProjectionFleet::ProjectionFleet(const LinearProjectionDesign& design,
 
 ProjectionFleet::~ProjectionFleet() { stop(); }
 
-bool ProjectionFleet::submit(ServeRequest req, SloClass slo) {
+bool ProjectionFleet::submit(const ServeRequest& req, SloClass slo) {
   thread_local std::vector<DieLoad> loads;
   thread_local std::vector<std::size_t> order;
   loads.resize(dies_.size());
@@ -146,13 +146,9 @@ bool ProjectionFleet::submit(ServeRequest req, SloClass slo) {
     loads[i].queue_depth = dies_[i]->server->queue_depth();
   }
   router_.plan(loads, slo, order);
-  // Walk the fallback order; the last attempt may move the request.
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    const std::size_t die = order[k];
-    const bool accepted = k + 1 == order.size()
-                              ? dies_[die]->server->submit(std::move(req))
-                              : dies_[die]->server->submit(req);
-    if (accepted) {
+  // Walk the fallback order; the die that accepts copies the codes.
+  for (const std::size_t die : order) {
+    if (dies_[die]->server->submit(req)) {
       dies_[die]->routed.fetch_add(1, std::memory_order_relaxed);
       return true;
     }

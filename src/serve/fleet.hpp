@@ -122,10 +122,11 @@ class ProjectionFleet {
 
   std::size_t num_dies() const { return dies_.size(); }
 
-  /// Route and enqueue one request. Walks the router's fallback order, so
-  /// false means *every* die rejected it (all queues full under
-  /// RejectNewest, or the fleet is stopping). Thread-safe.
-  bool submit(ServeRequest req, SloClass slo = SloClass::BestEffort);
+  /// Route and enqueue one request. Walks the router's fallback order —
+  /// every attempt reads the same request, and the accepting die copies
+  /// its codes — so false means *every* die rejected it (all queues full
+  /// under RejectNewest, or the fleet is stopping). Thread-safe.
+  bool submit(const ServeRequest& req, SloClass slo = SloClass::BestEffort);
 
   /// Start dispatching on every die (fleet built with serve.start_paused).
   void resume();

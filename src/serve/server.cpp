@@ -67,7 +67,7 @@ ProjectionServer::ProjectionServer(const LinearProjectionDesign& design,
 
 ProjectionServer::~ProjectionServer() { stop(); }
 
-bool ProjectionServer::submit(ServeRequest req) {
+bool ProjectionServer::submit(const ServeRequest& req) {
   OCLP_CHECK_MSG(req.x_codes.size() == dims_p_,
                  "request " << req.id << " has " << req.x_codes.size()
                             << " codes for a P=" << dims_p_ << " design");
@@ -87,10 +87,14 @@ bool ProjectionServer::submit(ServeRequest req) {
         metrics_.on_rejected_full();
         return false;
       }
+      // The oldest request leaves with its row of codes.
       queue_.pop_front();
+      queue_codes_.erase(queue_codes_.begin(), queue_codes_.begin() + dims_p_);
       metrics_.on_shed_oldest();
     }
-    queue_.push_back({std::move(req), Clock::now()});
+    queue_.push_back({req.id, req.deadline_ms, Clock::now()});
+    queue_codes_.insert(queue_codes_.end(), req.x_codes.begin(),
+                        req.x_codes.end());
     metrics_.queue_depth_sample(queue_.size());
   }
   dispatch_cv_.notify_one();
@@ -269,7 +273,7 @@ bool ProjectionServer::sampled_for_check(std::uint64_t id) const {
 
 void ProjectionServer::dispatcher_loop() {
   for (;;) {
-    std::vector<Pending> batch;
+    auto batch = std::make_shared<Batch>();
     {
       std::unique_lock lock(queue_mutex_);
       dispatch_cv_.wait(
@@ -291,25 +295,23 @@ void ProjectionServer::dispatcher_loop() {
         });
         if (queue_.empty()) continue;  // shed/raced away during the linger
       }
+      // The first n requests and their rows, as one contiguous block.
       const std::size_t n = std::min(cfg_.max_batch, queue_.size());
-      batch.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
+      const auto rows_end = queue_codes_.begin() + n * dims_p_;
+      batch->requests.assign(queue_.begin(), queue_.begin() + n);
+      batch->codes.assign(queue_codes_.begin(), rows_end);
+      queue_.erase(queue_.begin(), queue_.begin() + n);
+      queue_codes_.erase(queue_codes_.begin(), rows_end);
       metrics_.queue_depth_sample(queue_.size());
       // Counted under the lock that empties the queue, so wait_idle never
       // sees an empty queue without the batch in flight.
       inflight_batches_.fetch_add(1, std::memory_order_relaxed);
     }
-    pool_.submit(
-        [this, b = std::make_shared<std::vector<Pending>>(std::move(batch))] {
-          process_batch(std::move(*b));
-        });
+    pool_.submit([this, b = std::move(batch)] { process_batch(*b); });
   }
 }
 
-void ProjectionServer::process_batch(std::vector<Pending>&& batch) {
+void ProjectionServer::process_batch(Batch& batch) {
   std::unique_ptr<Replica> rep;
   bool apply_models = false;
   std::deque<std::unique_ptr<Replica>> destroy;
@@ -339,49 +341,58 @@ void ProjectionServer::process_batch(std::vector<Pending>&& batch) {
   // queued is dropped before any kernel work is spent on it. One pickup
   // instant judges the whole batch — per-request clock reads would judge
   // batch-mates at drifting instants, so whether a request survived could
-  // depend on how long its predecessors' shed checks took.
+  // depend on how long its predecessors' shed checks took. Survivors are
+  // compacted to the front, rows with them, so every segment below is a
+  // contiguous row range.
+  const std::size_t p = dims_p_;
+  const std::size_t k = dims_k_;
+  const std::size_t picked = batch.requests.size();
   const auto pickup = Clock::now();
-  rep->live.clear();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const auto& req = batch[i].req;
-    if (req.deadline_ms > 0.0 &&
-        to_ms(pickup - batch[i].enqueued) > req.deadline_ms) {
+  std::size_t live = 0;
+  for (std::size_t i = 0; i < picked; ++i) {
+    const Pending& req = batch.requests[i];
+    if (req.deadline_ms > 0.0 && to_ms(pickup - req.enqueued) > req.deadline_ms) {
       metrics_.on_shed_deadline();
       continue;
     }
-    rep->live.push_back(i);
+    if (live != i) {
+      batch.requests[live] = req;
+      std::copy_n(batch.codes.data() + i * p, p, batch.codes.data() + live * p);
+    }
+    ++live;
   }
 
   // Sampled survivors get the safe-duplicate check. Its reference is the
-  // settled functional value of the datapath (project_settled's exact
+  // settled functional value of the datapath (settled_rows' exact
   // arithmetic): it depends only on the request — never on the governor or
   // derate state — so computing it cannot perturb the governor trajectory
   // below.
-  rep->checked.assign(batch.size(), 0);
-  for (std::size_t i : rep->live)
-    rep->checked[i] = sampled_for_check(batch[i].req.id);
+  rep->checked.resize(live);
+  for (std::size_t i = 0; i < live; ++i)
+    rep->checked[i] = sampled_for_check(batch.requests[i].id);
 
-  // Serve the survivors through the batched run_stream kernel. The clock
-  // can only move on the check verdict that closes a governor window, so
-  // the batch is cut at the predicted window-close points: every request
-  // of a segment shares one (frequency, derate) and the segment is clocked
-  // through project_batch in a single call. With one worker the predicted
+  // Serve the survivors through the row core. The clock can only move on
+  // the check verdict that closes a governor window, so the batch is cut
+  // at the predicted window-close points: every request of a segment
+  // shares one (frequency, derate) and the segment's rows go through
+  // project_rows in a single call. With one worker the predicted
   // boundaries are exact and the segmented batch reproduces the sequential
   // per-request loop bit for bit; with several workers, checks from other
   // replicas may shift a window boundary — a scheduling race the
   // per-request loop had as well.
   rep->latencies.clear();
+  rep->ref.resize(k);
   const std::shared_ptr<ShadowTap> shadow = current_shadow();
   std::vector<std::uint64_t> shadow_ids;  // per-segment mirrored request ids
   const std::size_t window = governor_.config().window_checks;
   std::size_t into = governor_.checks_into_window();
   std::size_t seg_begin = 0;
-  while (seg_begin < rep->live.size()) {
+  while (seg_begin < live) {
     // Extend the segment up to (and including) the request whose check
     // closes the currently open window.
     std::size_t seg_end = seg_begin;
-    while (seg_end < rep->live.size()) {
-      const bool checked = rep->checked[rep->live[seg_end]] != 0;
+    while (seg_end < live) {
+      const bool checked = rep->checked[seg_end] != 0;
       ++seg_end;
       if (checked && ++into == window) {
         into = 0;
@@ -397,41 +408,34 @@ void ProjectionServer::process_batch(std::vector<Pending>&& batch) {
       rep->serve_derate = derate;
     }
 
-    rep->batch_inputs.clear();
-    rep->check_inputs.clear();
-    for (std::size_t j = seg_begin; j < seg_end; ++j) {
-      const std::size_t bi = rep->live[j];
-      if (rep->checked[bi]) rep->check_inputs.push_back(&batch[bi].req.x_codes);
-      rep->batch_inputs.push_back(&batch[bi].req.x_codes);
-    }
+    const std::uint32_t* rows = batch.codes.data() + seg_begin * p;
+    const std::size_t seg_n = seg_end - seg_begin;
+    rep->ys.resize(seg_n * k);
     const auto streams_before = rep->serve.stream_counts();
-    rep->serve.project_batch(rep->batch_inputs, rep->batch_ys);
+    rep->serve.project_rows(rows, seg_n, rep->ys.data());
     // One completion instant per segment: its outputs are all ready now.
     const auto ready = Clock::now();
-    rep->serve.project_settled(rep->check_inputs, rep->check_refs);
     const auto streams_after = rep->serve.stream_counts();
     metrics_.on_streams(streams_after.gated - streams_before.gated,
                         streams_after.full - streams_before.full);
 
-    std::size_t next_ref = 0;
     for (std::size_t j = seg_begin; j < seg_end; ++j) {
-      const std::size_t bi = rep->live[j];
-      auto& pending = batch[bi];
-      // The output rows stay in batch_ys (the next batch reuses their
-      // storage); the callback sees a copy in the replica's result buffer.
+      const Pending& req = batch.requests[j];
+      // The output rows stay in ys (the next segment reuses its storage);
+      // the callback sees a copy in the replica's result buffer.
       ServeResult& res = rep->result;
-      const std::vector<double>& y = rep->batch_ys[j - seg_begin];
-      res.id = pending.req.id;
+      const double* y = rep->ys.data() + (j - seg_begin) * k;
+      res.id = req.id;
       res.freq_mhz = freq;
-      res.y.assign(y.begin(), y.end());
+      res.y.assign(y, y + k);
       res.checked = false;
       res.check_error = false;
 
-      if (rep->checked[bi]) {
-        const auto& ref = rep->check_refs[next_ref++];
+      if (rep->checked[j]) {
+        rep->serve.settled_rows(batch.codes.data() + j * p, 1, rep->ref.data());
         bool error = false;
-        for (std::size_t i = 0; i < ref.size(); ++i)
-          if (std::abs(res.y[i] - ref[i]) > cfg_.check_tolerance) {
+        for (std::size_t i = 0; i < k; ++i)
+          if (std::abs(res.y[i] - rep->ref[i]) > cfg_.check_tolerance) {
             error = true;
             break;
           }
@@ -446,7 +450,7 @@ void ProjectionServer::process_batch(std::vector<Pending>&& batch) {
                   decision.action == FrequencyGovernor::Action::StepUp);
       }
 
-      res.latency_ms = to_ms(ready - pending.enqueued);
+      res.latency_ms = to_ms(ready - req.enqueued);
       rep->latencies.push_back(res.latency_ms);
       metrics_.on_served();
       if (on_result_) on_result_(res);
@@ -459,12 +463,12 @@ void ProjectionServer::process_batch(std::vector<Pending>&& batch) {
     if (shadow) {
       shadow_ids.clear();
       for (std::size_t j = seg_begin; j < seg_end; ++j)
-        shadow_ids.push_back(batch[rep->live[j]].req.id);
-      shadow->observe(shadow_ids, rep->batch_inputs, freq, derate);
+        shadow_ids.push_back(batch.requests[j].id);
+      shadow->observe(shadow_ids, rows, freq, derate);
     }
     seg_begin = seg_end;
   }
-  metrics_.on_batch(batch.size(), rep->latencies);
+  metrics_.on_batch(picked, rep->latencies);
 
   {
     std::lock_guard lock(replica_mutex_);

@@ -8,12 +8,18 @@
 //   max_batch / max_wait) → ThreadPool batch tasks → per-replica placed
 //   datapaths (core/circuit_eval) → result callback
 //
-// A picked-up micro-batch is served through ProjectionCircuit::project_batch:
-// every replica multiplier clocks the whole batch in one 64-lane settled
-// pass with sparse settle propagation — or, when the die proves it cannot
-// err at the batch's clock, as exact arithmetic with no stream at all —
-// so server throughput scales with batch size instead of flat-lining on
-// the per-sample timed interpreter. The governor can only move the clock
+// Data plane: a request's codes become a row of one matrix the moment it
+// is accepted. submit() validates the P codes and copies them into a
+// server-owned code FIFO beside the queue's metadata (no caller vector
+// outlives the call, and no worker frees one); the dispatcher moves a
+// micro-batch's rows out as one contiguous n×P block, and the worker hands
+// each segment of that block to ProjectionCircuit::project_rows, which
+// writes one n×K output block. Every replica multiplier clocks the whole
+// segment in one 64-lane settled pass with sparse settle propagation — or,
+// when the die proves it cannot err at the segment's clock, runs no stream
+// at all — and each output column is reduced as one exact integer sum, so
+// server throughput scales with batch size instead of flat-lining on the
+// per-sample timed interpreter. The governor can only move the clock
 // on the check verdict that closes a decision window, so the batch is
 // segmented at the predicted window-close points (see
 // FrequencyGovernor::checks_into_window): every request in a segment is
@@ -43,7 +49,8 @@
 //
 // Determinism: with one worker and a jitter-free plan the served outputs,
 // check verdicts and governor trajectory depend only on the submission
-// order — batch boundaries affect throughput, never results — which is
+// order — batch boundaries affect throughput, never results (the
+// reduction is exact, so no accumulation order can move a bit) — which is
 // what makes the end-to-end degradation test (tests/serve) bit-exact.
 #pragma once
 
@@ -122,9 +129,11 @@ class ProjectionServer {
   ProjectionServer(const ProjectionServer&) = delete;
   ProjectionServer& operator=(const ProjectionServer&) = delete;
 
-  /// Enqueue a request. Returns false iff it was rejected (queue full under
+  /// Enqueue a request: its codes are validated and copied into the
+  /// server's code FIFO, so the caller may reuse or free `req` as soon as
+  /// the call returns. Returns false iff it was rejected (queue full under
   /// RejectNewest, or the server is stopping). Thread-safe.
-  bool submit(ServeRequest req);
+  bool submit(const ServeRequest& req);
 
   /// Start dispatching when constructed with start_paused (no-op otherwise).
   void resume();
@@ -188,9 +197,19 @@ class ProjectionServer {
 
   using Clock = std::chrono::steady_clock;
 
+  /// A queued request's metadata; its codes are the matching row of the
+  /// code FIFO.
   struct Pending {
-    ServeRequest req;
+    std::uint64_t id;
+    double deadline_ms;
     Clock::time_point enqueued;
+  };
+
+  /// A dispatched micro-batch: request i's codes are the i-th row of the
+  /// contiguous n×P block.
+  struct Batch {
+    std::vector<Pending> requests;
+    std::vector<std::uint32_t> codes;
   };
 
   /// One deployed copy of the datapath plus the clock settings it
@@ -212,22 +231,18 @@ class ProjectionServer {
     // its next batch boundary (see flip_if_stale_locked).
     std::uint64_t design_generation = 0;
     // process_batch scratch, reused across batches (no steady-state
-    // allocation): per-request check flag, surviving (non-shed) batch
-    // indices, per-segment kernel batch, its checked requests and their
-    // references, the outputs, the result handed to the callback and the
-    // served requests' latencies.
+    // allocation): per-request check flag, a segment's n×K outputs, one
+    // checked request's settled reference, the result handed to the
+    // callback and the served requests' latencies.
     std::vector<std::uint8_t> checked;
-    std::vector<std::size_t> live;
-    std::vector<const std::vector<std::uint32_t>*> batch_inputs;
-    std::vector<const std::vector<std::uint32_t>*> check_inputs;
-    std::vector<std::vector<double>> check_refs;
-    std::vector<std::vector<double>> batch_ys;
+    std::vector<double> ys;
+    std::vector<double> ref;
     ServeResult result;
     std::vector<double> latencies;
   };
 
   void dispatcher_loop();
-  void process_batch(std::vector<Pending>&& batch);
+  void process_batch(Batch& batch);
   bool sampled_for_check(std::uint64_t id) const;
 
   // --- hot-swap plumbing (DesignSwapper drives these; see swap.hpp) -------
@@ -296,6 +311,9 @@ class ProjectionServer {
   std::mutex swap_mutex_;  ///< serialises swap_design calls
 
   std::deque<Pending> queue_;
+  /// P codes per queued request, in queue order: it grows and shrinks with
+  /// the queue, so nothing sized by queue_capacity is allocated up front.
+  std::deque<std::uint32_t> queue_codes_;
   mutable std::mutex queue_mutex_;
   std::condition_variable dispatch_cv_;  ///< dispatcher wakeups
   std::condition_variable idle_cv_;      ///< wait_idle wakeups

@@ -41,11 +41,9 @@ bool ShadowTap::sampled(std::uint64_t id) const {
   return u < fraction_;
 }
 
-void ShadowTap::observe(
-    const std::vector<std::uint64_t>& ids,
-    const std::vector<const std::vector<std::uint32_t>*>& codes,
-    double freq_mhz, double derate) {
-  OCLP_CHECK(ids.size() == codes.size());
+void ShadowTap::observe(const std::vector<std::uint64_t>& ids,
+                        const std::uint32_t* rows, double freq_mhz,
+                        double derate) {
   // Sampling is a pure hash of the request id — no lock needed, and the
   // mirrored subset is independent of which replica served the segment.
   bool any = false;
@@ -64,22 +62,28 @@ void ShadowTap::observe(
     freq_mhz_ = freq_mhz;
     derate_ = derate;
   }
+  const std::size_t p = circuit_.dims_p();
+  const std::size_t k = circuit_.dims_k();
   mirrored_.clear();
   for (std::size_t i = 0; i < ids.size(); ++i)
-    if (sampled(ids[i])) mirrored_.push_back(codes[i]);
+    if (sampled(ids[i]))
+      mirrored_.insert(mirrored_.end(), rows + i * p, rows + (i + 1) * p);
   // Every mirrored request is scored against its settled value.
-  circuit_.project_batch(mirrored_, timed_);
-  circuit_.project_settled(mirrored_, settled_);
+  const std::size_t n = mirrored_.size() / p;
+  timed_.resize(n * k);
+  settled_.resize(n * k);
+  circuit_.project_rows(mirrored_.data(), n, timed_.data());
+  circuit_.settled_rows(mirrored_.data(), n, settled_.data());
 
-  for (std::size_t i = 0; i < mirrored_.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     bool mismatch = false;
-    for (std::size_t k = 0; k < timed_[i].size(); ++k)
-      if (std::abs(timed_[i][k] - settled_[i][k]) > tolerance_) {
+    for (std::size_t c = i * k; c < (i + 1) * k; ++c)
+      if (std::abs(timed_[c] - settled_[c]) > tolerance_) {
         mismatch = true;
         break;
       }
-    const std::uint64_t n = compared_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (inject_every_ != 0 && n % inject_every_ == 0) mismatch = true;
+    const std::uint64_t seen = compared_.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (inject_every_ != 0 && seen % inject_every_ == 0) mismatch = true;
     if (mismatch) mismatches_.fetch_add(1, std::memory_order_relaxed);
     if (metrics_ != nullptr) metrics_->on_shadow_compare(mismatch);
   }

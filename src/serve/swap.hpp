@@ -104,11 +104,11 @@ class ShadowTap {
             std::uint64_t seed, std::uint64_t inject_divergence_every,
             ServeMetrics* metrics);
 
-  /// Mirror the sampled subset of a served segment through the shadow
-  /// datapath at the segment's operating point and score each mirrored
-  /// request against the shadow's settled functional value.
-  void observe(const std::vector<std::uint64_t>& ids,
-               const std::vector<const std::vector<std::uint32_t>*>& codes,
+  /// Mirror the sampled subset of a served segment — request ids[i]'s P
+  /// codes are row i of `rows` — through the shadow datapath at the
+  /// segment's operating point and score each mirrored request against the
+  /// shadow's settled functional value.
+  void observe(const std::vector<std::uint64_t>& ids, const std::uint32_t* rows,
                double freq_mhz, double derate);
 
   std::uint64_t compared() const {
@@ -132,9 +132,10 @@ class ShadowTap {
   ServeMetrics* metrics_;
   std::atomic<std::uint64_t> compared_{0};
   std::atomic<std::uint64_t> mismatches_{0};
-  // observe() scratch, reused under the lock.
-  std::vector<const std::vector<std::uint32_t>*> mirrored_;
-  std::vector<std::vector<double>> timed_, settled_;
+  // observe() scratch, reused under the lock: the mirrored rows and their
+  // timed and settled outputs.
+  std::vector<std::uint32_t> mirrored_;
+  std::vector<double> timed_, settled_;
 };
 
 /// Drives one swap end to end against a ProjectionServer. run() blocks the

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <functional>
 #include <iterator>
 #include <string>
@@ -141,61 +142,233 @@ TEST_F(CircuitEvalTest, JitterOffIsDeterministic) {
   EXPECT_DOUBLE_EQ(a, b);  // clock seed only matters through jitter
 }
 
-// Golden property: project_batch must be bitwise-identical to the scalar
-// double-walk loop — same jittered clock draws (same clock_seed), same
-// accumulation order — for every batch size, from the single-lane walk to
-// the partial-chunk tails around the 64-lane eval64 boundary, and across a
-// mid-stream set_clock retarget with an environment derate.
-TEST_F(CircuitEvalTest, ProjectBatchBitwiseMatchesSequentialProject) {
-  const auto d = design(8, 420.0);  // deep in the error-prone regime
-  const auto plan = simulated_plan(d, reference_location_1());  // jitter ON
-  const std::size_t p = d.dims_p();
+/// The CheckError message `call` throws, or "(no CheckError)".
+std::string check_message(const std::function<void()>& call) {
+  try {
+    call();
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "(no CheckError)";
+}
 
-  Rng rng(31);
-  std::vector<std::vector<std::uint32_t>> stream(130);
+/// A synthetic error model for `cfg`: a per-code, per-frequency mean error
+/// (code units) that makes every column's correction visible in the low
+/// bits of its outputs.
+ErrorModel synthetic_model(const MultConfig& cfg, int wl_x) {
+  ErrorModel model(cfg, wl_x, {100.0, 300.0, 500.0});
+  for (std::uint32_t m = 0; m < model.num_multiplicands(); ++m)
+    for (std::size_t fi = 0; fi < 3; ++fi)
+      model.set(m, fi, 1.0, 0.37 * m - 1.3 * static_cast<double>(fi), 0.01);
+  return model;
+}
+
+/// Bitwise equality of two output rows (a −0.0 would not equal +0.0).
+bool same_bits(const double* a, const double* b, std::size_t n) {
+  return std::memcmp(a, b, n * sizeof(double)) == 0;
+}
+
+// Golden property: the row core (project_rows) and its pointer adapter
+// (project_batch) must be bitwise-identical to the scalar double-walk loop
+// — same jittered clock draws (same clock_seed), and an exact integer
+// reduction equal to the loop's double sum — for every block size, from
+// the lone row to the partial-chunk tails around the 64-lane eval64
+// boundary; on gated, mixed and full blocks; with and without mean-error
+// corrections; across mid-stream set_clock retargets with an environment
+// derate; and with a CCM column beside array and Wallace columns.
+TEST_F(CircuitEvalTest, ProjectBatchBitwiseMatchesSequentialProject) {
+  const int wl_x = 9;
+  // An array, a CCM and a Wallace column: gated at 150 MHz (the per-clock
+  // gate), mixed at 300 MHz (Wallace gated, array streamed), and at 420 MHz
+  // every stream but a few short CCM constants' runs in full.
+  const std::vector<double> vals{0.81, -0.62, 0.44, -0.27, 0.93, -0.15};
+  LinearProjectionDesign mixed;
+  for (const MultConfig cfg :
+       {MultConfig{MultArch::Array, 5, 1}, MultConfig{MultArch::Ccm, 5, 1},
+        MultConfig{MultArch::Wallace, 5, 1}})
+    mixed.columns.push_back(make_column(vals, cfg));
+  mixed.target_freq_mhz = 150.0;
+  ErrorModelMap models;
+  for (const auto& col : mixed.columns)
+    models.emplace(col.config, synthetic_model(col.config, wl_x));
+
+  struct Retarget {
+    std::size_t at;
+    double freq, derate;
+  };
+  struct Case {
+    LinearProjectionDesign design;
+    const ErrorModelMap* models;
+    std::vector<Retarget> retargets;
+    std::size_t samples;
+  };
+  const Case cases[] = {
+      // The KLT array design deep in the error-prone regime: full streams.
+      {design(8, 420.0), nullptr, {{65, 300.0, 1.18}}, 130},
+      {mixed, nullptr, {{70, 300.0, 1.0}, {140, 420.0, 1.0}}, 210},
+      {mixed, &models, {{70, 300.0, 1.0}, {140, 250.0, 1.6}}, 210},
+  };
+
+  for (std::size_t ci = 0; ci < std::size(cases); ++ci) {
+    const Case& c = cases[ci];
+    const auto plan = simulated_plan(c.design, reference_location_1());  // jitter ON
+    const std::size_t p = c.design.dims_p();
+    const std::size_t k = c.design.dims_k();
+
+    Rng rng(31 + ci);
+    std::vector<std::vector<std::uint32_t>> stream(c.samples);
+    std::vector<std::uint32_t> rows;
+    for (auto& codes : stream) {
+      codes.resize(p);
+      for (auto& x : codes) x = static_cast<std::uint32_t>(rng.uniform_u64(512));
+      rows.insert(rows.end(), codes.begin(), codes.end());
+    }
+    const auto retarget_at = [&](std::size_t s) -> const Retarget* {
+      for (const auto& r : c.retargets)
+        if (r.at == s) return &r;
+      return nullptr;
+    };
+
+    // Sequential reference: one double-walk step per multiplier and sample.
+    ref::ScalarProjection seq(c.design, device_, plan, wl_x, c.models,
+                              /*clock_seed=*/7);
+    std::vector<std::vector<double>> want(stream.size());
+    for (std::size_t s = 0; s < stream.size(); ++s) {
+      if (const Retarget* r = retarget_at(s)) seq.set_clock(r->freq, r->derate);
+      seq.project(stream[s], want[s]);
+    }
+
+    for (std::size_t batch_size : {std::size_t{1}, std::size_t{63},
+                                   std::size_t{64}, std::size_t{65}}) {
+      // The row core and the pointer adapter, on twin circuits.
+      ProjectionCircuit core(c.design, device_, plan, wl_x, c.models, 7);
+      ProjectionCircuit adapter(c.design, device_, plan, wl_x, c.models, 7);
+      std::vector<const std::vector<std::uint32_t>*> batch;
+      std::vector<std::vector<double>> ys;
+      std::vector<double> y;
+      std::size_t s = 0;
+      bool poked_empty = false;
+      while (s < stream.size()) {
+        if (const Retarget* r = retarget_at(s)) {
+          core.set_clock(r->freq, r->derate);
+          adapter.set_clock(r->freq, r->derate);
+        }
+        if (!poked_empty && s > 0) {
+          // An empty block is a no-op: no clock draw, no state change.
+          core.project_rows(rows.data(), 0, nullptr);
+          adapter.project_batch({}, ys);
+          ASSERT_TRUE(ys.empty());
+          poked_empty = true;
+        }
+        std::size_t chunk = std::min(batch_size, stream.size() - s);
+        for (const auto& r : c.retargets)
+          if (s < r.at) chunk = std::min(chunk, r.at - s);
+        y.assign(chunk * k, -1.0);
+        const auto before = core.stream_counts();
+        core.project_rows(rows.data() + s * p, chunk, y.data());
+        const auto after = core.stream_counts();
+        batch.clear();
+        for (std::size_t i = 0; i < chunk; ++i) batch.push_back(&stream[s + i]);
+        adapter.project_batch(batch, ys);
+        ASSERT_EQ(ys.size(), chunk);
+        for (std::size_t i = 0; i < chunk; ++i) {
+          ASSERT_EQ(want[s + i].size(), k);
+          ASSERT_TRUE(same_bits(y.data() + i * k, want[s + i].data(), k))
+              << "case " << ci << " batch_size=" << batch_size
+              << " sample=" << s + i;
+          ASSERT_EQ(ys[i].size(), k);
+          ASSERT_TRUE(same_bits(ys[i].data(), want[s + i].data(), k))
+              << "case " << ci << " batch_size=" << batch_size
+              << " sample=" << s + i;
+        }
+        // The KLT design's first blocks run every stream in full; the
+        // mixed design's blocks are all-gated, mixed, then streamed.
+        const auto gated = after.gated - before.gated;
+        const auto full = after.full - before.full;
+        if (ci == 0 && s < 65) {
+          EXPECT_EQ(gated, 0u) << "s=" << s;
+        }
+        if (ci > 0 && s < 70) {
+          EXPECT_EQ(full, 0u) << "case " << ci << " s=" << s;
+        }
+        if (ci > 0 && s >= 70 && s < 140) {
+          EXPECT_GT(gated, 0u) << "case " << ci << " s=" << s;
+          EXPECT_GT(full, 0u) << "case " << ci << " s=" << s;
+        }
+        if (s >= 140) {
+          EXPECT_GT(full, 0u) << "case " << ci << " s=" << s;
+        }
+        s += chunk;
+      }
+    }
+  }
+}
+
+// settled_rows and its adapters agree bit for bit, and with the exact
+// integer arithmetic they stand for.
+TEST_F(CircuitEvalTest, SettledRowsMatchAdaptersAndExactArithmetic) {
+  const std::vector<double> vals{0.81, -0.62, 0.44, -0.27, 0.93, -0.15};
+  LinearProjectionDesign d;
+  for (const MultConfig cfg :
+       {MultConfig{MultArch::Array, 5, 1}, MultConfig{MultArch::Ccm, 5, 1}})
+    d.columns.push_back(make_column(vals, cfg));
+  d.target_freq_mhz = 420.0;
+  const auto plan = simulated_plan(d, reference_location_1());
+  const ProjectionCircuit circuit(d, device_, plan, 9, nullptr, 1);
+  const std::size_t p = d.dims_p(), k = d.dims_k();
+
+  Rng rng(17);
+  std::vector<std::vector<std::uint32_t>> stream(70);
+  std::vector<const std::vector<std::uint32_t>*> batch;
+  std::vector<std::uint32_t> rows;
   for (auto& codes : stream) {
     codes.resize(p);
-    for (auto& c : codes) c = static_cast<std::uint32_t>(rng.uniform_u64(512));
+    for (auto& x : codes) x = static_cast<std::uint32_t>(rng.uniform_u64(512));
+    rows.insert(rows.end(), codes.begin(), codes.end());
+    batch.push_back(&codes);
   }
-  const std::size_t retarget_at = 65;  // mid-stream clock retarget + derate
-
-  // Sequential reference: one double-walk step per multiplier and sample.
-  ref::ScalarProjection seq(d, device_, plan, 9, nullptr, /*clock_seed=*/7);
-  std::vector<std::vector<double>> want(stream.size());
+  std::vector<double> y(stream.size() * k);
+  circuit.settled_rows(rows.data(), stream.size(), y.data());
+  std::vector<std::vector<double>> ys;
+  circuit.project_settled(batch, ys);
   for (std::size_t s = 0; s < stream.size(); ++s) {
-    if (s == retarget_at) seq.set_clock(300.0, 1.18);
-    seq.project(stream[s], want[s]);
+    ASSERT_TRUE(same_bits(ys[s].data(), y.data() + s * k, k)) << s;
+    const auto exact = circuit.project_exact(stream[s]);
+    ASSERT_TRUE(same_bits(exact.data(), y.data() + s * k, k)) << s;
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      std::int64_t acc = 0;
+      for (std::size_t pp = 0; pp < p; ++pp)
+        acc += d.columns[kk].coeffs[pp].sign *
+               static_cast<std::int64_t>(d.columns[kk].coeffs[pp].magnitude *
+                                         stream[s][pp]);
+      EXPECT_EQ(y[s * k + kk], std::ldexp(static_cast<double>(acc), -(5 + 9)));
+    }
   }
+}
 
-  for (std::size_t batch_size : {std::size_t{1}, std::size_t{63},
-                                 std::size_t{64}, std::size_t{65}}) {
-    ProjectionCircuit bat(d, device_, plan, 9, nullptr, /*clock_seed=*/7);
-    std::vector<const std::vector<std::uint32_t>*> batch;
-    std::vector<std::vector<double>> ys;
-    std::size_t s = 0;
-    bool poked_empty = false;
-    while (s < stream.size()) {
-      if (s == retarget_at) bat.set_clock(300.0, 1.18);
-      if (!poked_empty && s > 0) {
-        // An empty batch is a no-op: no clock draw, no state change.
-        bat.project_batch({}, ys);
-        ASSERT_TRUE(ys.empty());
-        poked_empty = true;
-      }
-      std::size_t chunk = std::min(batch_size, stream.size() - s);
-      if (s < retarget_at) chunk = std::min(chunk, retarget_at - s);
-      batch.clear();
-      for (std::size_t i = 0; i < chunk; ++i) batch.push_back(&stream[s + i]);
-      bat.project_batch(batch, ys);
-      ASSERT_EQ(ys.size(), chunk);
-      for (std::size_t i = 0; i < chunk; ++i) {
-        ASSERT_EQ(ys[i].size(), want[s + i].size());
-        for (std::size_t k = 0; k < ys[i].size(); ++k)
-          ASSERT_EQ(ys[i][k], want[s + i][k])
-              << "batch_size=" << batch_size << " sample=" << s + i
-              << " k=" << k;
-      }
-      s += chunk;
+// The exact reduction's bound: a column whose P terms of wl+wl_x bits can
+// reach 2^53 is rejected before any lowering, naming the column; P·(2^51−1)
+// stays below 2^53 up to P = 4.
+TEST_F(CircuitEvalTest, ConstructorRejectsColumnsBeyondTheExactBound) {
+  const auto column = [](std::size_t p, int wl) {
+    DesignColumn col;
+    col.config = MultConfig{MultArch::Array, wl, 1};
+    col.coeffs.assign(p, QuantCoeff{1, 3, wl});
+    return col;
+  };
+  for (const std::size_t p : {std::size_t{4}, std::size_t{5}}) {
+    LinearProjectionDesign d;
+    d.columns = {column(p, 5), column(p, 20)};  // wl+wl_x = 36 and 51
+    d.target_freq_mhz = 100.0;
+    const auto plan = simulated_plan(d, reference_location_1());
+    const std::string msg = check_message(
+        [&] { ProjectionCircuit(d, device_, plan, 31, nullptr, 1); });
+    if (p == 4) {
+      EXPECT_EQ(msg, "(no CheckError)");
+    } else {
+      EXPECT_NE(msg.find("output dimension 1: 5 terms of wl+wl_x=51 bits"),
+                std::string::npos)
+          << msg;
     }
   }
 }
@@ -438,14 +611,6 @@ TEST_F(CircuitEvalTest, ProjectBatchValidatesInputs) {
 // full stream keeps only its low wl_x bits, so an out-of-range request
 // would otherwise be answered differently on either side of the bound.
 // The error names the row and the input.
-std::string check_message(const std::function<void()>& call) {
-  try {
-    call();
-  } catch (const CheckError& e) {
-    return e.what();
-  }
-  return "(no CheckError)";
-}
 
 TEST_F(CircuitEvalTest, ProjectBatchRejectsCodesWiderThanWlX) {
   const auto d = design(8, 420.0);  // full streams: every clock draw shows

@@ -147,6 +147,48 @@ TEST(ProjectionFleet, RouterSpreadsLoadAcrossPausedQueues) {
   EXPECT_EQ(log.results.size(), 10u);
 }
 
+// When the router's first choice is full, the request falls back to the
+// next die, which copies and serves that request's own codes: the first
+// choice here is die 0 throughout (die 1's clock is held at a tenth of
+// die 0's, so die 0 keeps more headroom even with a full queue).
+TEST(ProjectionFleet, FallbackDieServesTheRequestsOwnCodes) {
+  const auto design = fleet_design();
+  auto cfg = base_config({kReferenceDieSeed, 83});
+  cfg.serve.start_paused = true;
+  cfg.serve.queue_capacity = 3;
+  cfg.serve.overload = OverloadPolicy::RejectNewest;
+  FleetLog log;
+  ProjectionFleet fleet(design, cfg, log.callback());
+  const double slow = 0.1 * fleet.die_status(0).freq_mhz;
+  fleet.server(1).governor().set_limits(slow, slow);
+
+  Rng rng(13);
+  std::vector<std::vector<std::uint32_t>> codes_by_id(8);
+  for (std::uint64_t id = 1; id <= 7; ++id) {
+    codes_by_id[id] = random_codes(rng, 4);
+    EXPECT_EQ(fleet.submit({id, codes_by_id[id], 0.0}), id <= 6) << id;
+  }
+  EXPECT_EQ(fleet.die_status(0).routed, 3u);
+  EXPECT_EQ(fleet.die_status(1).routed, 3u);
+  fleet.resume();
+  fleet.wait_idle();
+  fleet.stop();
+
+  const Device ref_device(reference_device_config(), kReferenceDieSeed);
+  auto plan = simulated_plan(design, Placement{0, 30, 3});
+  plan.with_jitter = false;
+  const ProjectionCircuit reference(design, ref_device, plan, kWlX, nullptr, 1);
+  std::lock_guard lock(log.mutex);
+  ASSERT_EQ(log.results.size(), 6u);
+  for (const auto& [die, r] : log.results) {
+    EXPECT_EQ(die, r.id <= 3 ? 0u : 1u) << "id " << r.id;
+    const auto exact = reference.project_exact(codes_by_id[r.id]);
+    ASSERT_EQ(r.y.size(), exact.size());
+    for (std::size_t k = 0; k < exact.size(); ++k)
+      EXPECT_NEAR(r.y[k], exact[k], 1e-12) << "die " << die << " id " << r.id;
+  }
+}
+
 TEST(ProjectionFleet, BackgroundThreadRecharacterisesWhileServing) {
   auto cfg = base_config({kReferenceDieSeed, 83});
   cfg.recheck_period_ms = 2.0;

@@ -232,6 +232,110 @@ TEST(ProjectionServer, ShedOldestKeepsTheFreshestRequests) {
   for (const auto& r : log.results) EXPECT_NE(r.id, 1u);
 }
 
+// submit() copies the codes into the server's FIFO: the caller may reuse,
+// overwrite or free its request the moment the call returns, and every
+// answer is still its own codes' projection.
+TEST(ProjectionServer, SubmitCopiesTheCodesAtTheDoor) {
+  const auto design = serve_design(100.0);
+  const Device device = make_device();
+  const auto plan = deterministic_plan(design);
+  ServeConfig cfg;
+  cfg.workers = 1;
+  cfg.max_batch = 4;
+  cfg.check_fraction = 0.5;
+  cfg.start_paused = true;
+  cfg.governor.f_target_mhz = 100.0;
+  cfg.governor.f_floor_mhz = 100.0;
+
+  ResultLog log;
+  ProjectionServer server(design, device, plan, kWlX, nullptr, cfg,
+                          log.callback());
+  const ProjectionCircuit reference(design, device, plan, kWlX, nullptr, 1);
+  Rng rng(23);
+  std::vector<std::vector<std::uint32_t>> codes_by_id(13);
+  ServeRequest req;  // one request object, reused for every submit
+  for (std::uint64_t id = 1; id <= 12; ++id) {
+    codes_by_id[id] = random_codes(rng, 4);
+    req.id = id;
+    req.x_codes = codes_by_id[id];
+    ASSERT_TRUE(server.submit(req));
+    if (id % 2 == 0) {
+      req.x_codes.assign(4, 255);
+    } else {
+      req.x_codes.clear();
+      req.x_codes.shrink_to_fit();
+    }
+  }
+  server.resume();
+  server.wait_idle();
+
+  const auto snap = server.metrics_snapshot();
+  EXPECT_EQ(snap.check_errors, 0u);
+  std::lock_guard lock(log.mutex);
+  ASSERT_EQ(log.results.size(), 12u);
+  for (const auto& r : log.results)
+    EXPECT_EQ(r.y, reference.project_exact(codes_by_id[r.id])) << "id " << r.id;
+}
+
+// The code FIFO moves in step with the queue: when ShedOldest evicts, when
+// RejectNewest bounces, when deadline sheds at pickup compact a batch, and
+// while the FIFO grows over many blocks, every served answer — and every
+// check's reference — is its own request's codes.
+TEST(ProjectionServer, CodeFifoStaysAlignedUnderOverload) {
+  const auto design = serve_design(100.0);
+  const Device device = make_device();
+  const auto plan = deterministic_plan(design);
+  const ProjectionCircuit reference(design, device, plan, kWlX, nullptr, 1);
+  for (const OverloadPolicy policy :
+       {OverloadPolicy::ShedOldest, OverloadPolicy::RejectNewest})
+    for (const std::size_t capacity : {std::size_t{3}, std::size_t{2000}}) {
+      ServeConfig cfg;
+      cfg.workers = 1;
+      cfg.queue_capacity = capacity;
+      cfg.overload = policy;
+      cfg.max_batch = 16;
+      cfg.max_wait_ms = 0.0;
+      cfg.check_fraction = 0.5;
+      cfg.start_paused = true;
+      cfg.governor.f_target_mhz = 100.0;
+      cfg.governor.f_floor_mhz = 100.0;
+
+      ResultLog log;
+      ProjectionServer server(design, device, plan, kWlX, nullptr, cfg,
+                              log.callback());
+      const std::size_t sent = capacity + 37;
+      Rng rng(capacity);
+      std::vector<std::vector<std::uint32_t>> codes(sent + 1);
+      std::size_t accepted = 0;
+      for (std::uint64_t id = 1; id <= sent; ++id) {
+        codes[id] = random_codes(rng, 4);
+        // Every third request lapses before pickup.
+        accepted += server.submit({id, codes[id], id % 3 == 0 ? 0.001 : 0.0});
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      server.resume();
+      server.wait_idle();
+
+      const auto snap = server.metrics_snapshot();
+      EXPECT_EQ(accepted, policy == OverloadPolicy::ShedOldest ? sent : capacity);
+      EXPECT_EQ(snap.served + snap.shed_deadline, capacity);
+      EXPECT_EQ(snap.check_errors, 0u);
+      std::lock_guard lock(log.mutex);
+      EXPECT_EQ(log.results.size(), snap.served);
+      for (const auto& r : log.results) {
+        EXPECT_NE(r.id % 3, 0u);
+        // ShedOldest keeps the newest `capacity`, RejectNewest the oldest.
+        if (policy == OverloadPolicy::ShedOldest) {
+          EXPECT_GT(r.id, sent - capacity);
+        } else {
+          EXPECT_LE(r.id, capacity);
+        }
+        ASSERT_EQ(r.y, reference.project_exact(codes[r.id]))
+            << "capacity " << capacity << " id " << r.id;
+      }
+    }
+}
+
 TEST(ProjectionServer, ExpiredDeadlinesAreShedAtPickup) {
   const auto design = serve_design(100.0);
   const Device device = make_device();
